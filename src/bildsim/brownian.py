@@ -12,8 +12,9 @@ Their half-difference is the osmotic velocity, equal in law to
 -(T/gamma) d_x log P for stationary ensembles.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -256,22 +257,10 @@ def timescale_report(config: LangevinConfig) -> TimescaleReport:
 
 def _estimate_tau_x(config: LangevinConfig) -> float:
     """Autocorrelation-decay estimate of tau_x from a short overdamped run."""
-    probe = LangevinConfig(
-        n_particles=config.n_particles,
-        mass=config.mass,
-        friction=config.friction,
-        temperatures=config.temperatures,
-        potential=config.potential,
-        dt=config.dt,
-        t_end=config.t_end,
-        n_trajectories=min(config.n_trajectories, 2000),
-        seed=config.seed,
-        paper_units=config.paper_units,
-        store_every=1,
-        x_init=config.x_init,
-        p_init=config.p_init,
+    probe = dataclasses.replace(
+        config, n_trajectories=min(config.n_trajectories, 2000), store_every=1
     )
-    ens = integrate_overdamped(probe, _skip_step_check=True)
+    ens = integrate_overdamped(probe)
     x = ens.x[:, :, 0]
     x = x - x.mean()
     var = np.mean(x * x)
@@ -319,6 +308,40 @@ def _check_finite(arr: np.ndarray, step: int, dt: float):
         )
 
 
+def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> TrajectoryEnsemble:
+    """Shared Euler-Maruyama loop; ``advance(x, p, xi)`` returns the next (x, p).
+
+    Draw order, which fixes the output bit for bit for a (config, seed):
+    initial positions, initial momenta (underdamped only), then one
+    standard-normal array of shape x.shape per step. The state that carries
+    the noise (p, or x when overdamped) is checked every 200 steps.
+    """
+    n_steps = int(round(config.t_end / config.dt))
+    rng = np.random.Generator(np.random.Philox(np.uint64(config.seed)))
+    x = _initial_positions(config, rng)
+    p = _initial_momenta(config, rng) if underdamped else None
+    n_stored = len(range(0, n_steps + 1, config.store_every))
+    xs = np.empty((config.n_trajectories, n_stored, config.n_particles))
+    ps = np.empty_like(xs) if underdamped else None
+    times = np.empty(n_stored)
+    slot = 0
+    for step in range(n_steps + 1):
+        if step % config.store_every == 0:
+            xs[:, slot] = x
+            if underdamped:
+                ps[:, slot] = p
+            times[slot] = step * config.dt
+            slot += 1
+        if step == n_steps:
+            break
+        xi = rng.standard_normal(x.shape)
+        x, p = advance(x, p, xi)
+        if step % 200 == 0:
+            _check_finite(p if underdamped else x, step, config.dt)
+    _check_finite(xs, n_steps, config.dt)
+    return TrajectoryEnsemble(times=times, x=xs, p=ps, config=config)
+
+
 def integrate_underdamped(config: LangevinConfig) -> TrajectoryEnsemble:
     """Euler-Maruyama for dx = (p/m) dt, dp = (F - gamma p/m) dt + sqrt(2 gamma T) dW."""
     if config.dt > config.tau_p / 20.0:
@@ -326,74 +349,30 @@ def integrate_underdamped(config: LangevinConfig) -> TrajectoryEnsemble:
             f"dt={config.dt:.3g} exceeds tau_p/20={config.tau_p / 20.0:.3g}; "
             "momentum dynamics would be under-resolved"
         )
-    gamma = config.gamma
-    m = config.mass
-    n_steps = int(round(config.t_end / config.dt))
-    rng = np.random.Generator(np.random.Philox(np.uint64(config.seed)))
-    x = _initial_positions(config, rng)
-    p = _initial_momenta(config, rng)
-    noise_amp = np.sqrt(2.0 * gamma * config.temps * config.dt)
-    store_idx = range(0, n_steps + 1, config.store_every)
-    n_stored = len(store_idx)
-    xs = np.empty((config.n_trajectories, n_stored, config.n_particles))
-    ps = np.empty_like(xs)
-    times = np.empty(n_stored)
-    slot = 0
-    for step in range(n_steps + 1):
-        if step % config.store_every == 0:
-            xs[:, slot] = x
-            ps[:, slot] = p
-            times[slot] = step * config.dt
-            slot += 1
-        if step == n_steps:
-            break
-        force = config.potential.force(x)
-        xi = rng.standard_normal(x.shape)
-        dp = (force - gamma * p / m) * config.dt + noise_amp * xi
-        x = x + (p / m) * config.dt
-        p = p + dp
-        if step % 200 == 0:
-            _check_finite(p, step, config.dt)
-    _check_finite(xs, n_steps, config.dt)
-    return TrajectoryEnsemble(times=times, x=xs, p=ps, config=config)
+    gamma, m, dt = config.gamma, config.mass, config.dt
+    noise_amp = np.sqrt(2.0 * gamma * config.temps * dt)
+
+    def advance(x, p, xi):
+        dp = (config.potential.force(x) - gamma * p / m) * dt + noise_amp * xi
+        return x + (p / m) * dt, p + dp
+
+    return _euler_maruyama(config, advance, underdamped=True)
 
 
-def integrate_overdamped(
-    config: LangevinConfig, _skip_step_check: bool = False
-) -> TrajectoryEnsemble:
+def integrate_overdamped(config: LangevinConfig) -> TrajectoryEnsemble:
     """Euler-Maruyama for dx = (F/gamma) dt + sqrt(2 T/gamma) dW."""
-    gamma = config.gamma
-    if not _skip_step_check and config.potential.kind == "harmonic":
-        ks = config.potential._springs(config.n_particles)
-        tau_x = gamma / ks.max()
-        bound = min(1e-3 * tau_x, 2.0 * gamma / ks.max())
-        if config.dt > bound:
-            raise RegimeError(
-                f"dt={config.dt:.3g} exceeds overdamped step bound {bound:.3g}"
-            )
-    n_steps = int(round(config.t_end / config.dt))
-    rng = np.random.Generator(np.random.Philox(np.uint64(config.seed)))
-    x = _initial_positions(config, rng)
-    noise_amp = np.sqrt(2.0 * config.diffusion_coefficients() * config.dt)
-    store_idx = range(0, n_steps + 1, config.store_every)
-    n_stored = len(store_idx)
-    xs = np.empty((config.n_trajectories, n_stored, config.n_particles))
-    times = np.empty(n_stored)
-    slot = 0
-    for step in range(n_steps + 1):
-        if step % config.store_every == 0:
-            xs[:, slot] = x
-            times[slot] = step * config.dt
-            slot += 1
-        if step == n_steps:
-            break
-        drift = config.potential.force(x) / gamma
-        xi = rng.standard_normal(x.shape)
-        x = x + drift * config.dt + noise_amp * xi
-        if step % 200 == 0:
-            _check_finite(x, step, config.dt)
-    _check_finite(xs, n_steps, config.dt)
-    return TrajectoryEnsemble(times=times, x=xs, p=None, config=config)
+    gamma, dt = config.gamma, config.dt
+    if config.potential.kind == "harmonic":
+        tau_x = gamma / config.potential._springs(config.n_particles).max()
+        bound = 1e-3 * tau_x
+        if dt > bound:
+            raise RegimeError(f"dt={dt:.3g} exceeds overdamped step bound {bound:.3g}")
+    noise_amp = np.sqrt(2.0 * config.diffusion_coefficients() * dt)
+
+    def advance(x, p, xi):
+        return x + config.potential.force(x) / gamma * dt + noise_amp * xi, None
+
+    return _euler_maruyama(config, advance, underdamped=False)
 
 
 @dataclass(frozen=True)
@@ -461,54 +440,57 @@ def _binned_velocity(
     )
 
 
-def coarse_velocity_forward(
+def _increment_velocity(
+    x: np.ndarray,
+    anchors: np.ndarray,
+    firsts: np.ndarray,
+    k: int,
+    epsilon: float,
+    bin_edges,
+    min_count: int,
+) -> VelocityFieldEstimate:
+    """Bin (x(s+eps) - x(s))/eps, s = each of ``firsts``, by x at ``anchors``."""
+    # the anchor copy comes before the displacement: this allocation order
+    # keeps the heap small for the density estimate that callers run next
+    at = x[:, anchors].ravel()
+    disp = (x[:, firsts + k] - x[:, firsts]).ravel() / epsilon
+    return _binned_velocity(at, disp, bin_edges, epsilon, min_count)
+
+
+def coarse_velocities(
     ensemble: TrajectoryEnsemble,
     epsilon: float,
     bin_edges,
     particle: int = 0,
     min_count: int = DEFAULT_MIN_BIN_COUNT,
     t_index: int | None = None,
-) -> VelocityFieldEstimate:
-    """Forward velocity: mean of (x(t+eps) - x(t))/eps given x(t) in each bin.
+) -> tuple[VelocityFieldEstimate, VelocityFieldEstimate]:
+    """Forward and backward velocities (v_plus, v_minus) on common bins.
 
-    By default all start times are pooled, spaced by eps so windows are
-    disjoint and the standard errors treat them as independent (justified by
-    the Markov property); pooling assumes a stationary ensemble. Pass
-    ``t_index`` to anchor at a single stored time instead.
+    v_plus is the mean of (x(t+eps) - x(t))/eps given x(t) in each bin,
+    v_minus the mean of (x(t) - x(t-eps))/eps given x(t). By default all
+    windows starting at 0, eps, 2 eps, ... are pooled: each serves v_plus
+    through its start and v_minus through its end. Windows are disjoint, so
+    the standard errors treat them as independent (justified by the Markov
+    property); pooling assumes a stationary ensemble. Pass ``t_index`` to
+    anchor both at a single stored time instead, which needs a full window on
+    each side of it.
     """
     k = _epsilon_steps(ensemble, epsilon)
     x = ensemble.x[:, :, particle]
-    if t_index is not None:
-        if not 0 <= t_index < ensemble.n_times - k:
-            raise ValidationError(f"t_index {t_index} leaves no forward window")
-        starts = np.array([t_index])
-    else:
+    if t_index is None:
         starts = np.arange(0, ensemble.n_times - k, k)
-    x0 = x[:, starts].ravel()
-    disp = (x[:, starts + k] - x[:, starts]).ravel() / epsilon
-    return _binned_velocity(x0, disp, bin_edges, epsilon, min_count)
-
-
-def coarse_velocity_backward(
-    ensemble: TrajectoryEnsemble,
-    epsilon: float,
-    bin_edges,
-    particle: int = 0,
-    min_count: int = DEFAULT_MIN_BIN_COUNT,
-    t_index: int | None = None,
-) -> VelocityFieldEstimate:
-    """Backward velocity: mean of (x(t) - x(t-eps))/eps given x(t) in each bin."""
-    k = _epsilon_steps(ensemble, epsilon)
-    x = ensemble.x[:, :, particle]
-    if t_index is not None:
-        if not k <= t_index < ensemble.n_times:
-            raise ValidationError(f"t_index {t_index} leaves no backward window")
-        arrivals = np.array([t_index])
+        ends = starts + k
     else:
-        arrivals = np.arange(k, ensemble.n_times, k)
-    x1 = x[:, arrivals].ravel()
-    disp = (x[:, arrivals] - x[:, arrivals - k]).ravel() / epsilon
-    return _binned_velocity(x1, disp, bin_edges, epsilon, min_count)
+        if not k <= t_index < ensemble.n_times - k:
+            raise ValidationError(
+                f"t_index {t_index} needs {k} stored steps on each side "
+                f"within {ensemble.n_times} stored times"
+            )
+        starts = ends = np.array([t_index])
+    v_plus = _increment_velocity(x, starts, starts, k, epsilon, bin_edges, min_count)
+    v_minus = _increment_velocity(x, ends, ends - k, k, epsilon, bin_edges, min_count)
+    return v_plus, v_minus
 
 
 def osmotic_velocity(
@@ -547,8 +529,7 @@ def nonsmoothness_witness(
     edges = np.array([bin_center - bin_width / 2, bin_center + bin_width / 2])
     rows = []
     for eps in epsilons:
-        vp = coarse_velocity_forward(ensemble, eps, edges, particle, min_count)
-        vm = coarse_velocity_backward(ensemble, eps, edges, particle, min_count)
+        vp, vm = coarse_velocities(ensemble, eps, edges, particle, min_count)
         gap = abs(vm.values[0] - vp.values[0])
         gap_err = float(np.hypot(vp.std_errors[0], vm.std_errors[0]))
         rows.append(

@@ -10,6 +10,7 @@ emitted as one JSON object on stderr.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -61,10 +62,13 @@ def validate_config(config: dict) -> dict:
         )
     if not isinstance(config["params"], dict):
         raise ValidationError("field 'params' must be an object")
-    seed = config.get("seed", 0)
+    _check_seed(config.get("seed", 0))
+    return config
+
+
+def _check_seed(seed) -> None:
     if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
         raise ValidationError("field 'seed' must be an unsigned 64-bit integer")
-    return config
 
 
 def _fmt(x) -> str:
@@ -253,23 +257,11 @@ def _run_chsh_hv(params: dict, seed: int, out: str) -> list[str]:
 
 
 def _langevin_config(raw: dict, seed: int, paper_units: bool) -> brownian.LangevinConfig:
-    allowed = {
-        "n_particles",
-        "mass",
-        "friction",
-        "temperatures",
-        "potential",
-        "dt",
-        "t_end",
-        "n_trajectories",
-        "store_every",
-        "x_init",
-        "p_init",
-    }
+    config_fields = dataclasses.fields(brownian.LangevinConfig)
     _require_keys(
         raw,
-        allowed=allowed,
-        required={"n_particles", "mass", "friction", "temperatures", "potential", "dt", "t_end", "n_trajectories"},
+        allowed={f.name for f in config_fields} - {"seed", "paper_units"},
+        required={f.name for f in config_fields if f.default is dataclasses.MISSING} - {"seed"},
         context="params.langevin",
     )
     obj = dict(raw)
@@ -326,8 +318,7 @@ def _run_velocity_field(params: dict, seed: int, out: str, paper_units: bool) ->
     eps = float(params["epsilon"])
     edges = np.linspace(float(params["bin_min"]), float(params["bin_max"]), int(params["n_bins"]) + 1)
     min_count = int(params.get("min_count", brownian.DEFAULT_MIN_BIN_COUNT))
-    vp = brownian.coarse_velocity_forward(ens, eps, edges, min_count=min_count)
-    vm = brownian.coarse_velocity_backward(ens, eps, edges, min_count=min_count)
+    vp, vm = brownian.coarse_velocities(ens, eps, edges, min_count=min_count)
     u = brownian.osmotic_velocity(vp, vm)
     pooled = ens.x[:, :, 0].ravel()
     diff_coeff = float(config.diffusion_coefficients()[0])
@@ -478,13 +469,14 @@ def run_experiment(
 ) -> list[str]:
     """Validate and execute one experiment config; returns output file names.
 
-    ``threads`` bounds per-run parallelism; all estimators reduce in a fixed
-    order so results are independent of it.
+    ``threads`` is validated (it must be >= 1) and otherwise unused; all
+    estimators reduce in a fixed order, so results do not depend on it.
     """
     if threads < 1:
         raise ValidationError("field 'threads' must be >= 1")
     config = validate_config(config)
     seed = seed_override if seed_override is not None else config.get("seed", 0)
+    _check_seed(seed)
     paper_units = (
         paper_units_override
         if paper_units_override is not None

@@ -5,8 +5,7 @@ from scipy import stats
 from bildsim.brownian import (
     LangevinConfig,
     Potential,
-    coarse_velocity_backward,
-    coarse_velocity_forward,
+    coarse_velocities,
     fokker_planck_residual,
     integrate_overdamped,
     integrate_underdamped,
@@ -278,8 +277,7 @@ class TestCoarseVelocities:
         ens = integrate_overdamped(config)
         eps = 4e-3
         edges = np.linspace(0.9, 1.05, 4)
-        vp = coarse_velocity_forward(ens, eps, edges, min_count=10)
-        vm = coarse_velocity_backward(ens, eps, edges, min_count=10)
+        vp, vm = coarse_velocities(ens, eps, edges, min_count=10)
         occupied = ~np.isnan(vp.values)
         # v+ = -(k/gamma) x up to O(eps); smooth flow has v- = v+ up to O(eps)
         np.testing.assert_allclose(
@@ -297,29 +295,35 @@ class TestCoarseVelocities:
             store_every=1,
         )
         ens = integrate_overdamped(config)
-        vp = coarse_velocity_forward(ens, 4e-3, np.linspace(-1.0, 1.0, 11))
+        vp, _ = coarse_velocities(ens, 4e-3, np.linspace(-1.0, 1.0, 11))
         ok = ~np.isnan(vp.values)
         assert np.all(np.abs(vp.values[ok]) < 5.0 * vp.std_errors[ok])
 
     def test_stationary_harmonic_drifts(self, stationary_ensemble):
         eps = 4e-3
         edges = np.array([0.95, 1.05])
-        vp = coarse_velocity_forward(stationary_ensemble, eps, edges)
-        vm = coarse_velocity_backward(stationary_ensemble, eps, edges)
+        vp, vm = coarse_velocities(stationary_ensemble, eps, edges)
         assert vp.values[0] == pytest.approx(-1.0, abs=3 * vp.std_errors[0] + 0.02)
         assert vm.values[0] == pytest.approx(1.0, abs=3 * vm.std_errors[0] + 0.02)
 
     def test_epsilon_below_resolution_rejected(self, stationary_ensemble):
         with pytest.raises(ValidationError, match="twice the integration"):
-            coarse_velocity_forward(
-                stationary_ensemble, 1e-3, np.linspace(-1, 1, 5)
-            )
+            coarse_velocities(stationary_ensemble, 1e-3, np.linspace(-1, 1, 5))
 
     def test_empty_bins_are_missing(self, stationary_ensemble):
         edges = np.array([40.0, 41.0, 42.0])  # far outside the support
-        vp = coarse_velocity_forward(stationary_ensemble, 4e-3, edges)
-        assert np.all(np.isnan(vp.values))
-        assert np.all(vp.counts == 0)
+        for v in coarse_velocities(stationary_ensemble, 4e-3, edges):
+            assert np.all(np.isnan(v.values))
+            assert np.all(v.counts == 0)
+
+
+    @pytest.mark.parametrize("t_index", [0, 3, 77, 80])
+    def test_t_index_needs_both_windows(self, stationary_ensemble, t_index):
+        # 81 stored times, eps = 4 steps: 4 <= t_index < 77 is allowed
+        with pytest.raises(ValidationError, match="t_index"):
+            coarse_velocities(
+                stationary_ensemble, 4e-3, np.linspace(-1, 1, 5), t_index=t_index
+            )
 
 
 class TestOsmoticVelocity:
@@ -335,8 +339,7 @@ class TestOsmoticVelocity:
         ens = integrate_overdamped(config)
         eps = 4e-3
         edges = np.linspace(0.9, 1.05, 4)
-        vp = coarse_velocity_forward(ens, eps, edges, min_count=10)
-        vm = coarse_velocity_backward(ens, eps, edges, min_count=10)
+        vp, vm = coarse_velocities(ens, eps, edges, min_count=10)
         u = osmotic_velocity(vp, vm)
         assert np.nanmax(np.abs(u.values)) <= eps
 
@@ -345,8 +348,7 @@ class TestOsmoticVelocity:
     ):
         eps = 4e-3
         edges = np.arange(-1.55, 1.5501, 0.1)
-        vp = coarse_velocity_forward(stationary_ensemble, eps, edges)
-        vm = coarse_velocity_backward(stationary_ensemble, eps, edges)
+        vp, vm = coarse_velocities(stationary_ensemble, eps, edges)
         u = osmotic_velocity(vp, vm)
         pooled = stationary_ensemble.x[:, ::8, 0].ravel()
         oracle = -1.0 * log_density_gradient(pooled, u.bin_centers)
@@ -356,12 +358,8 @@ class TestOsmoticVelocity:
         )
 
     def test_bin_mismatch_rejected(self, stationary_ensemble):
-        vp = coarse_velocity_forward(
-            stationary_ensemble, 4e-3, np.linspace(-1, 1, 5)
-        )
-        vm = coarse_velocity_backward(
-            stationary_ensemble, 4e-3, np.linspace(-2, 2, 5)
-        )
+        vp, _ = coarse_velocities(stationary_ensemble, 4e-3, np.linspace(-1, 1, 5))
+        _, vm = coarse_velocities(stationary_ensemble, 4e-3, np.linspace(-2, 2, 5))
         with pytest.raises(ValidationError, match="bins"):
             osmotic_velocity(vp, vm)
 
@@ -408,8 +406,7 @@ class TestNonsmoothness:
         t_index = 100  # t = 0.1
         eps = 0.01
         edges = np.array([0.55, 0.65])
-        vp = coarse_velocity_forward(ens, eps, edges, t_index=t_index, min_count=100)
-        vm = coarse_velocity_backward(ens, eps, edges, t_index=t_index, min_count=100)
+        vp, vm = coarse_velocities(ens, eps, edges, t_index=t_index, min_count=100)
         u = osmotic_velocity(vp, vm)
         expected = 0.6 / (2.0 * 0.1)
         assert u.values[0] == pytest.approx(expected, abs=3 * u.std_errors[0] + 0.3)
@@ -475,3 +472,64 @@ class TestRegimeConsistency:
         sigma = np.sqrt(2.0 / 20_000)
         assert abs(vu - 1.0) < 3.0 * sigma
         assert abs(vo - 1.0) < 3.0 * sigma
+
+
+class TestDrawOrder:
+    """The integrators replay one Philox stream in a fixed order: initial
+    positions, initial momenta (underdamped), then one standard-normal array
+    of shape x.shape per step."""
+
+    def test_overdamped(self):
+        config = harmonic_config(
+            n_particles=2,
+            friction=2.0,
+            temperatures=(1.0, 0.5),
+            potential=Potential.harmonic([1.0, 2.0]),
+            dt=2e-4,
+            t_end=2e-3,
+            n_trajectories=4,
+            store_every=3,
+            seed=123,
+        )
+        ens = integrate_overdamped(config)
+        ks, temps, gamma, dt = np.array([1.0, 2.0]), np.array([1.0, 0.5]), 2.0, 2e-4
+        rng = np.random.Generator(np.random.Philox(np.uint64(123)))
+        x = rng.standard_normal((4, 2)) * np.sqrt(temps / ks)
+        noise = np.sqrt(2.0 * (temps / gamma) * dt)
+        path = [x]
+        for _ in range(10):
+            xi = rng.standard_normal(x.shape)
+            x = x + (-ks * x) / gamma * dt + noise * xi
+            path.append(x)
+        np.testing.assert_array_equal(ens.x, np.stack(path, axis=1)[:, ::3])
+        np.testing.assert_array_equal(ens.times, np.arange(0, 11, 3) * dt)
+        assert ens.p is None
+
+    def test_underdamped(self):
+        config = harmonic_config(
+            mass=2.0,
+            friction=1.5,
+            dt=1e-3,
+            t_end=1e-2,
+            n_trajectories=3,
+            p_init="stationary",
+            store_every=1,
+            seed=321,
+        )
+        ens = integrate_underdamped(config)
+        k, temp, m, gamma, dt = 1.0, 1.0, 2.0, 1.5, 1e-3
+        rng = np.random.Generator(np.random.Philox(np.uint64(321)))
+        x = rng.standard_normal((3, 1)) * np.sqrt(np.array([temp]) / k)
+        p = rng.standard_normal((3, 1)) * np.sqrt(m * np.array([temp]))
+        noise = np.sqrt(2.0 * gamma * np.array([temp]) * dt)
+        xs, ps = [x], [p]
+        for _ in range(10):
+            xi = rng.standard_normal(x.shape)
+            dp = (-k * x - gamma * p / m) * dt + noise * xi
+            x = x + (p / m) * dt
+            p = p + dp
+            xs.append(x)
+            ps.append(p)
+        np.testing.assert_array_equal(ens.x, np.stack(xs, axis=1))
+        np.testing.assert_array_equal(ens.p, np.stack(ps, axis=1))
+        np.testing.assert_array_equal(ens.times, np.arange(11) * dt)

@@ -308,3 +308,22 @@ class TestManifestAndDeterminism:
     def test_unreadable_config_exits_2(self, tmp_path):
         rc = cli.main(["--config", str(tmp_path / "missing.json")])
         assert rc == 2
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        config = {"command": "chsh-quantum", "params": {"angles": [0.0, 1.0, 0.5, -0.5]}}
+        rc = cli.main(
+            ["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o"), "--seed", "-3"]
+        )
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "seed" in json.loads(lines[0])["error"]
+
+
+class TestAcceptanceCommand:
+    def test_numpy_verdict_written_as_json_bool(self, tmp_path):
+        # criterion 5 computes its verdict with numpy comparisons
+        out = tmp_path / "gate"
+        cli.run_experiment({"command": "acceptance", "params": {"criteria": [5]}}, str(out))
+        results = json.loads((out / "acceptance.json").read_text())
+        assert [(r["number"], r["passed"]) for r in results] == [(5, True)]
