@@ -114,7 +114,7 @@ class Potential:
         if kind == "free":
             return cls.free()
         if kind == "harmonic":
-            return cls.harmonic(obj.get("spring_constants", obj.get("k", ())))
+            return cls.harmonic(obj.get("spring_constants", ()))
         if kind == "polynomial":
             return cls.polynomial(obj.get("coefficients", ()))
         raise ValidationError(f"unknown potential kind {kind!r}")
@@ -201,7 +201,6 @@ class LangevinConfig:
     def from_dict(cls, obj: dict) -> "LangevinConfig":
         obj = dict(obj)
         obj["potential"] = Potential.from_dict(obj["potential"])
-        obj["temperatures"] = tuple(np.atleast_1d(obj["temperatures"]))
         return cls(**obj)
 
 
@@ -391,6 +390,8 @@ class VelocityFieldEstimate:
 
 
 def _epsilon_steps(ensemble: TrajectoryEnsemble, epsilon: float) -> int:
+    if ensemble.n_times < 2:
+        raise ValidationError("velocity estimates need at least two stored times")
     dt_store = ensemble.dt_store
     k = int(round(epsilon / dt_store))
     if k < 1 or abs(k * dt_store - epsilon) > 1e-9 * max(epsilon, dt_store):

@@ -1,17 +1,21 @@
 """Command-line front end.
 
-One experiment per run: the JSON config names a subcommand and its parameter
-block, the CLI validates it strictly (unknown keys are errors), dispatches to
-the benches, and writes CSV/JSON outputs plus a plot-ready bundle atomically,
-with a run manifest written last.
+One experiment per run: the JSON config names a command and its parameter
+block. ``_COMMANDS`` maps each command to its runner and a parameter spec;
+``_parse`` checks a config against a spec (unknown keys, missing keys and
+wrong JSON types are errors that name the dotted path of the field), so the
+runners receive parsed values. Outputs are CSV/JSON plus a plot-ready bundle,
+written atomically, with a run manifest written last.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure. Errors are
-emitted as one JSON object on stderr.
+Exit codes: 0 success, 2 config or argument error, 3 numerical failure.
+Errors are emitted as one JSON object on stderr.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 import time
@@ -19,79 +23,143 @@ import time
 import numpy as np
 
 from . import __version__, acceptance, brownian, chsh, fields, linalg, runio
-from .errors import BildsimError, NumericalError, RegimeError, ValidationError
-
-COMMANDS = (
-    "pcsft-average",
-    "pcsft-correlation",
-    "chsh-quantum",
-    "chsh-hv",
-    "brownian-ctm",
-    "brownian-om",
-    "velocity-field",
-    "acceptance",
-)
+from .errors import BildsimError, NumericalError, ValidationError
 
 # CSV threshold below which trajectory output stays human-readable
 CSV_TRAJECTORY_LIMIT = 50_000
 
+# the spec default of a field that must be given
+_REQUIRED = object()
 
-def _require_keys(obj: dict, allowed: set, required: set, context: str):
-    unknown = set(obj) - allowed
+
+def _fail(path: str, expected: str, value):
+    raise ValidationError(f"{path} must be {expected}, got {value!r:.60}")
+
+
+def _parse(obj, spec: dict, path: str) -> dict:
+    """Check ``obj`` against ``spec`` and return every field of the spec.
+
+    ``spec`` maps each field to (parser, default or ``_REQUIRED``); a parser
+    takes (value, dotted path). ``path`` is "" for the top level.
+    """
+    where = path or "config"
+    if not isinstance(obj, dict):
+        _fail(where, "an object", obj)
+    unknown = set(obj) - set(spec)
     if unknown:
-        raise ValidationError(
-            f"unknown field(s) in {context}: {', '.join(sorted(unknown))}"
-        )
-    missing = required - set(obj)
+        raise ValidationError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
+    missing = [key for key, (_, default) in spec.items() if default is _REQUIRED and key not in obj]
     if missing:
-        raise ValidationError(
-            f"missing required field(s) in {context}: {', '.join(sorted(missing))}"
-        )
+        raise ValidationError(f"missing required field(s) in {where}: {', '.join(missing)}")
+    return {
+        key: parse(obj[key], f"{path}.{key}" if path else key) if key in obj else default
+        for key, (parse, default) in spec.items()
+    }
 
 
-def validate_config(config: dict) -> dict:
-    _require_keys(
-        config,
-        allowed={"command", "params", "seed", "out", "paper_units"},
-        required={"command", "params"},
-        context="config",
+def _object(spec: dict):
+    return lambda value, path: _parse(value, spec, path)
+
+
+def _json(kinds, expected: str, within=lambda v: True):
+    """Parser for a JSON value of the given Python type(s), returned unchanged.
+
+    A bool is accepted only where ``kinds`` is bool, although it is an int.
+    """
+
+    def parse(value, path):
+        if isinstance(value, bool) != (kinds is bool) or not (isinstance(value, kinds) and within(value)):
+            _fail(path, expected, value)
+        return value
+
+    return parse
+
+
+def _integer(low=-math.inf, high=math.inf):
+    """Parser for an integer in [low, high]; integral floats such as 1e6 count."""
+    parse = _json(
+        (int, float), f"an integer in [{low}, {high}]", lambda v: v % 1 == 0 and low <= v <= high
     )
-    if config["command"] not in COMMANDS:
-        raise ValidationError(
-            f"unknown command {config['command']!r}; expected one of {COMMANDS}"
-        )
-    if not isinstance(config["params"], dict):
-        raise ValidationError("field 'params' must be an object")
-    _check_seed(config.get("seed", 0))
-    return config
+    return lambda value, path: int(parse(value, path))
 
 
-def _check_seed(seed) -> None:
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
-        raise ValidationError("field 'seed' must be an unsigned 64-bit integer")
+_flag = _json(bool, "true or false")
+_string = _json(str, "a string")
+# numbers are returned as given: LangevinConfig.to_dict() is hashed into trajectory files
+_number = _json((int, float), "a finite number", lambda v: abs(v) <= sys.float_info.max)
+_SEED = _integer(0, 2**64 - 1)
+
+
+def _list_of(parse, length=None):
+    def parse_list(value, path):
+        if not isinstance(value, list) or length not in (None, len(value)):
+            _fail(path, f"a list of {length or 'any number of'} items", value)
+        return [parse(item, f"{path}[{i}]") for i, item in enumerate(value)]
+
+    return parse_list
+
+
+def _numbers(value, path):
+    """A number or a list of numbers (one per particle)."""
+    return _list_of(_number)(value, path) if isinstance(value, list) else _number(value, path)
+
+
+def _start(value, path):
+    """A start value: a number or the name of a start law ("stationary")."""
+    return value if isinstance(value, str) else _number(value, path)
+
+
+def _matrix(value, path):
+    try:
+        return linalg.matrix_from_json(value)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _angles(value, path) -> chsh.ChshAngles:
+    return chsh.ChshAngles(*(float(a) for a in _list_of(_number, 4)(value, path)))
+
+
+def _criteria(value, path) -> list[int]:
+    numbers = _list_of(_integer(1, 12))(value, path)
+    if not numbers or len(set(numbers)) != len(numbers):
+        _fail(path, "a non-empty list of distinct criteria", value)
+    return numbers
+
+
+_POTENTIAL = _object({
+    "kind": (_string, _REQUIRED),
+    "spring_constants": (_numbers, ()),
+    "coefficients": (_list_of(_number), ()),
+})
+
+# the langevin block takes the fields of LangevinConfig, parsed by annotation;
+# seed and paper_units come from the top level of the config
+_BY_TYPE = {
+    int: _integer(), float: _number, tuple: _numbers, object: _start, brownian.Potential: _POTENTIAL
+}
+_LANGEVIN = {
+    f.name: (_BY_TYPE[f.type], _REQUIRED if f.default is dataclasses.MISSING else f.default)
+    for f in dataclasses.fields(brownian.LangevinConfig)
+    if f.name not in ("seed", "paper_units")
+}
+
+# the fields of chsh.HvStrategy, with its defaults
+_STRATEGY = {
+    "kind": (_string, _REQUIRED),
+    "angles": (_angles, chsh.ChshAngles(*chsh.OPTIMAL_ANGLES)),
+    "constants": (_list_of(_number, 4), (1, 1, 1, 1)),
+}
 
 
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _angles_from_params(raw) -> chsh.ChshAngles:
-    vals = list(raw)
-    if len(vals) != 4:
-        raise ValidationError("field 'angles' must hold four numbers [a1,a2,b1,b2]")
-    return chsh.ChshAngles(*[float(v) for v in vals])
-
-
-def _run_pcsft_average(params: dict, seed: int, out: str) -> list[str]:
-    _require_keys(
-        params,
-        allowed={"covariance", "kernel", "n_samples"},
-        required={"covariance", "kernel", "n_samples"},
-        context="params",
-    )
-    measure = fields.FieldMeasure(linalg.matrix_from_json(params["covariance"]))
-    variable = fields.QuadraticVariable(linalg.matrix_from_json(params["kernel"]))
-    n = int(params["n_samples"])
+def _run_pcsft_average(params: dict, seed: int, out: str, paper_units: bool) -> list[str]:
+    measure = fields.FieldMeasure(params["covariance"])
+    variable = fields.QuadraticVariable(params["kernel"])
+    n = params["n_samples"]
     exact = fields.exact_average(variable, measure)
     est = fields.mc_average(variable, measure, n, seed)
     energy = fields.average_energy(measure)
@@ -101,173 +169,97 @@ def _run_pcsft_average(params: dict, seed: int, out: str) -> list[str]:
         ["energy", _fmt(energy), "", "", n, seed],
         ["normalized_average", _fmt(coupling.rhs), "", "", n, seed],
     ]
-    runio.write_csv(
-        os.path.join(out, "results.csv"),
-        ["quantity", "exact", "mc_mean", "mc_stderr", "n", "seed"],
-        rows,
-    )
-    runio.write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "exact_average": exact,
-            "mc_mean": est.mean,
-            "mc_stderr": est.std_error,
-            "average_energy": energy,
-            "coupling_gap": coupling.gap,
-            "n_samples": n,
-            "seed": seed,
-        },
-    )
-    _write_scatter_plot_bundle(out, [("average", exact, est.mean, est.std_error)])
-    return ["results.csv", "summary.json", "plot_data.csv", "plot.py"]
+    summary = {
+        "exact_average": exact,
+        "mc_mean": est.mean,
+        "mc_stderr": est.std_error,
+        "average_energy": energy,
+        "coupling_gap": coupling.gap,
+        "n_samples": n,
+        "seed": seed,
+    }
+    return _write_monte_carlo_outputs(out, rows, summary)
 
 
-def _run_pcsft_correlation(params: dict, seed: int, out: str) -> list[str]:
-    _require_keys(
-        params,
-        allowed={"covariance", "kernel", "kernel2", "n_samples"},
-        required={"covariance", "kernel", "kernel2", "n_samples"},
-        context="params",
-    )
-    measure = fields.FieldMeasure(linalg.matrix_from_json(params["covariance"]))
-    v = fields.QuadraticVariable(linalg.matrix_from_json(params["kernel"]))
-    w = fields.QuadraticVariable(linalg.matrix_from_json(params["kernel2"]))
-    n = int(params["n_samples"])
+def _run_pcsft_correlation(params: dict, seed: int, out: str, paper_units: bool) -> list[str]:
+    measure = fields.FieldMeasure(params["covariance"])
+    v = fields.QuadraticVariable(params["kernel"])
+    w = fields.QuadraticVariable(params["kernel2"])
+    n = params["n_samples"]
     exact = fields.exact_pair_correlation(v, w, measure)
     est = fields.mc_pair_correlation(v, w, measure, n, seed)
-    runio.write_csv(
-        os.path.join(out, "results.csv"),
-        ["quantity", "exact", "mc_mean", "mc_stderr", "n", "seed"],
-        [["pair_correlation", _fmt(exact), _fmt(est.mean), _fmt(est.std_error), n, seed]],
-    )
-    runio.write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "exact_pair_correlation": exact,
-            "mc_mean": est.mean,
-            "mc_stderr": est.std_error,
-            "n_samples": n,
-            "seed": seed,
-        },
-    )
-    _write_scatter_plot_bundle(out, [("pair_correlation", exact, est.mean, est.std_error)])
-    return ["results.csv", "summary.json", "plot_data.csv", "plot.py"]
-
-
-def _run_chsh_quantum(params: dict, seed: int, out: str) -> list[str]:
-    _require_keys(
-        params,
-        allowed={"angles", "sweep_points"},
-        required={"angles"},
-        context="params",
-    )
-    angles = _angles_from_params(params["angles"])
-    rho = chsh.singlet_state()
-    s = chsh.chsh_value(rho, angles)
-    pair_angles = {
-        "A1B1": (angles.a1, angles.b1),
-        "A1B2": (angles.a1, angles.b2),
-        "A2B1": (angles.a2, angles.b1),
-        "A2B2": (angles.a2, angles.b2),
+    rows = [["pair_correlation", _fmt(exact), _fmt(est.mean), _fmt(est.std_error), n, seed]]
+    summary = {
+        "exact_pair_correlation": exact,
+        "mc_mean": est.mean,
+        "mc_stderr": est.std_error,
+        "n_samples": n,
+        "seed": seed,
     }
-    rows = [
-        [pair, "", _fmt(chsh.quantum_correlation(rho, ta, tb)), 0, seed]
-        for pair, (ta, tb) in pair_angles.items()
-    ]
-    runio.write_csv(
-        os.path.join(out, "correlations.csv"),
-        ["pair", "empirical", "exact_or_quantum", "n", "seed"],
-        rows,
-    )
-    audit = chsh.compatibility_audit(angles)
-    runio.write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "S_quantum": s,
-            "S_classical_max": chsh.deterministic_bound_enumeration(),
-            "angles": list(angles.as_tuple()),
-            "degenerate_settings": audit["degenerate"],
-        },
-    )
-    sweep_points = int(params.get("sweep_points", 121))
-    thetas = np.linspace(0.0, np.pi, sweep_points)
-    sweep_rows = []
-    for theta in thetas:
-        sw = chsh.chsh_value(rho, chsh.ChshAngles(0.0, np.pi / 2, theta, -theta))
-        sweep_rows.append([_fmt(theta), _fmt(sw)])
-    runio.write_csv(os.path.join(out, "sweep.csv"), ["theta", "S"], sweep_rows)
-    _write_sweep_plot_bundle(out)
-    return ["correlations.csv", "summary.json", "sweep.csv", "plot.py"]
+    return _write_monte_carlo_outputs(out, rows, summary)
 
 
-def _run_chsh_hv(params: dict, seed: int, out: str) -> list[str]:
-    _require_keys(
-        params,
-        allowed={"strategy", "n"},
-        required={"strategy", "n"},
-        context="params",
-    )
-    raw = dict(params["strategy"])
-    _require_keys(
-        raw,
-        allowed={"kind", "angles", "constants"},
-        required={"kind"},
-        context="params.strategy",
-    )
-    kind = raw["kind"]
-    if kind == "sphere_sign":
-        angles = _angles_from_params(raw.get("angles", list(chsh.OPTIMAL_ANGLES)))
-        strategy = chsh.HvStrategy(kind=kind, angles=angles)
-    else:
-        strategy = chsh.HvStrategy(
-            kind=kind, constants=tuple(raw.get("constants", (1, 1, 1, 1)))
-        )
-        angles = strategy.angles
-    n = int(params["n"])
-    stream = chsh.hv_sample(strategy, n, seed)
-    rho = chsh.singlet_state()
-    quantum_ref = {
+def _quantum_pairs(rho, angles: chsh.ChshAngles) -> dict:
+    """Quantum correlations of the four Alice-Bob pairs, by pair name."""
+    return {
         "A1B1": chsh.quantum_correlation(rho, angles.a1, angles.b1),
         "A1B2": chsh.quantum_correlation(rho, angles.a1, angles.b2),
         "A2B1": chsh.quantum_correlation(rho, angles.a2, angles.b1),
         "A2B2": chsh.quantum_correlation(rho, angles.a2, angles.b2),
     }
+
+
+def _write_correlations(out: str, rows: list, summary: dict) -> list[str]:
+    header = ["pair", "empirical", "exact_or_quantum", "n", "seed"]
+    runio.write_csv(os.path.join(out, "correlations.csv"), header, rows)
+    runio.write_json(os.path.join(out, "summary.json"), summary)
+    return ["correlations.csv", "summary.json"]
+
+
+def _run_chsh_quantum(params: dict, seed: int, out: str, paper_units: bool) -> list[str]:
+    angles = params["angles"]
+    rho = chsh.singlet_state()
+    s = chsh.chsh_value(rho, angles)
+    rows = [[pair, "", _fmt(e), 0, seed] for pair, e in _quantum_pairs(rho, angles).items()]
+    audit = chsh.compatibility_audit(angles)
+    summary = {
+        "S_quantum": s,
+        "S_classical_max": chsh.deterministic_bound_enumeration(),
+        "angles": list(angles.as_tuple()),
+        "degenerate_settings": audit["degenerate"],
+    }
+    _write_correlations(out, rows, summary)
+    thetas = np.linspace(0.0, np.pi, params["sweep_points"])
+    sweep_rows = []
+    for theta in thetas:
+        sw = chsh.chsh_value(rho, chsh.ChshAngles(0.0, np.pi / 2, theta, -theta))
+        sweep_rows.append([_fmt(theta), _fmt(sw)])
+    runio.write_csv(os.path.join(out, "sweep.csv"), ["theta", "S"], sweep_rows)
+    runio.write_atomic(os.path.join(out, "plot.py"), _SWEEP_PLOT.encode())
+    return ["correlations.csv", "summary.json", "sweep.csv", "plot.py"]
+
+
+def _run_chsh_hv(params: dict, seed: int, out: str, paper_units: bool) -> list[str]:
+    strategy = chsh.HvStrategy(**params["strategy"])
+    angles = strategy.angles
+    n = params["n"]
+    stream = chsh.hv_sample(strategy, n, seed)
+    rho = chsh.singlet_state()
+    quantum_ref = _quantum_pairs(rho, angles)
     rows = []
     for pair in chsh.PAIR_NAMES:
         emp = chsh.empirical_correlation(stream, pair)
         ref = _fmt(quantum_ref[pair]) if pair in quantum_ref else ""
         rows.append([pair, _fmt(emp), ref, n, seed])
-    runio.write_csv(
-        os.path.join(out, "correlations.csv"),
-        ["pair", "empirical", "exact_or_quantum", "n", "seed"],
-        rows,
-    )
-    runio.write_json(
-        os.path.join(out, "summary.json"),
-        {
-            "S_quantum": chsh.chsh_value(rho, angles),
-            "S_classical_max": chsh.deterministic_bound_enumeration(),
-            "S_stream": chsh.chsh_from_stream(stream),
-            "n": n,
-            "seed": seed,
-            "strategy": stream.strategy,
-        },
-    )
-    return ["correlations.csv", "summary.json"]
-
-
-def _langevin_config(raw: dict, seed: int, paper_units: bool) -> brownian.LangevinConfig:
-    config_fields = dataclasses.fields(brownian.LangevinConfig)
-    _require_keys(
-        raw,
-        allowed={f.name for f in config_fields} - {"seed", "paper_units"},
-        required={f.name for f in config_fields if f.default is dataclasses.MISSING} - {"seed"},
-        context="params.langevin",
-    )
-    obj = dict(raw)
-    obj["seed"] = seed
-    obj["paper_units"] = paper_units
-    return brownian.LangevinConfig.from_dict(obj)
+    summary = {
+        "S_quantum": chsh.chsh_value(rho, angles),
+        "S_classical_max": chsh.deterministic_bound_enumeration(),
+        "S_stream": chsh.chsh_from_stream(stream),
+        "n": n,
+        "seed": seed,
+        "strategy": stream.strategy,
+    }
+    return _write_correlations(out, rows, summary)
 
 
 def _write_trajectories(out: str, ens: brownian.TrajectoryEnsemble) -> list[str]:
@@ -287,7 +279,7 @@ def _write_trajectories(out: str, ens: brownian.TrajectoryEnsemble) -> list[str]
 
 
 def _run_brownian(params: dict, seed: int, out: str, paper_units: bool, underdamped: bool) -> list[str]:
-    config = _langevin_config(params, seed, paper_units)
+    config = brownian.LangevinConfig.from_dict(dict(params, seed=seed, paper_units=paper_units))
     report = brownian.timescale_report(config)
     if underdamped:
         ens = brownian.integrate_underdamped(config)
@@ -307,18 +299,12 @@ def _run_brownian(params: dict, seed: int, out: str, paper_units: bool, underdam
 
 
 def _run_velocity_field(params: dict, seed: int, out: str, paper_units: bool) -> list[str]:
-    _require_keys(
-        params,
-        allowed={"langevin", "epsilon", "bin_min", "bin_max", "n_bins", "min_count"},
-        required={"langevin", "epsilon", "bin_min", "bin_max", "n_bins"},
-        context="params",
-    )
-    config = _langevin_config(params["langevin"], seed, paper_units)
+    langevin = dict(params["langevin"], seed=seed, paper_units=paper_units)
+    config = brownian.LangevinConfig.from_dict(langevin)
     ens = brownian.integrate_overdamped(config)
-    eps = float(params["epsilon"])
-    edges = np.linspace(float(params["bin_min"]), float(params["bin_max"]), int(params["n_bins"]) + 1)
-    min_count = int(params.get("min_count", brownian.DEFAULT_MIN_BIN_COUNT))
-    vp, vm = brownian.coarse_velocities(ens, eps, edges, min_count=min_count)
+    eps = params["epsilon"]
+    edges = np.linspace(params["bin_min"], params["bin_max"], params["n_bins"] + 1)
+    vp, vm = brownian.coarse_velocities(ens, eps, edges, min_count=params["min_count"])
     u = brownian.osmotic_velocity(vp, vm)
     pooled = ens.x[:, :, 0].ravel()
     diff_coeff = float(config.diffusion_coefficients()[0])
@@ -351,30 +337,16 @@ def _run_velocity_field(params: dict, seed: int, out: str, paper_units: bool) ->
             for i, c in enumerate(u.bin_centers)
         ],
     )
-    _write_velocity_plot_bundle(out)
+    runio.write_atomic(os.path.join(out, "plot.py"), _VELOCITY_PLOT.encode())
     return ["velocity_field.csv", "osmotic_overlay.csv", "plot.py"]
 
 
-def _run_acceptance(params: dict, out: str) -> list[str]:
-    _require_keys(params, allowed={"criteria"}, required=set(), context="params")
-    numbers = params.get("criteria")
-    results = acceptance.run_all(numbers)
+def _run_acceptance(params: dict, seed: int, out: str, paper_units: bool) -> list[str]:
+    results = acceptance.run_all(params["criteria"])
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] criterion {res.number}: {res.name} ({res.seconds:.1f}s) - {res.detail}")
-    runio.write_json(
-        os.path.join(out, "acceptance.json"),
-        [
-            {
-                "number": r.number,
-                "name": r.name,
-                "passed": r.passed,
-                "detail": r.detail,
-                "seconds": r.seconds,
-            }
-            for r in results
-        ],
-    )
+    runio.write_json(os.path.join(out, "acceptance.json"), [dataclasses.asdict(r) for r in results])
     if not all(r.passed for r in results):
         raise NumericalError("one or more acceptance criteria failed")
     return ["acceptance.json"]
@@ -443,21 +415,62 @@ fig.savefig("velocity_field.png", dpi=150)
 """
 
 
-def _write_scatter_plot_bundle(out: str, entries) -> None:
-    runio.write_csv(
-        os.path.join(out, "plot_data.csv"),
-        ["quantity", "exact", "mc_mean", "mc_stderr"],
-        [[q, _fmt(e), _fmt(m), _fmt(s)] for q, e, m, s in entries],
-    )
+def _write_monte_carlo_outputs(out: str, rows: list, summary: dict) -> list[str]:
+    """results.csv, summary.json, and a plot of the first row's estimate against its exact value."""
+    header = ["quantity", "exact", "mc_mean", "mc_stderr", "n", "seed"]
+    runio.write_csv(os.path.join(out, "results.csv"), header, rows)
+    runio.write_json(os.path.join(out, "summary.json"), summary)
+    runio.write_csv(os.path.join(out, "plot_data.csv"), header[:4], [rows[0][:4]])
     runio.write_atomic(os.path.join(out, "plot.py"), _SCATTER_PLOT.encode())
+    return ["results.csv", "summary.json", "plot_data.csv", "plot.py"]
 
 
-def _write_sweep_plot_bundle(out: str) -> None:
-    runio.write_atomic(os.path.join(out, "plot.py"), _SWEEP_PLOT.encode())
+_MONTE_CARLO = {
+    "covariance": (_matrix, _REQUIRED),
+    "kernel": (_matrix, _REQUIRED),
+    "n_samples": (_integer(), _REQUIRED),
+}
+_VELOCITY = {
+    "langevin": (_object(_LANGEVIN), _REQUIRED),
+    "epsilon": (_number, _REQUIRED),
+    "bin_min": (_number, _REQUIRED),
+    "bin_max": (_number, _REQUIRED),
+    "n_bins": (_integer(1), _REQUIRED),
+    "min_count": (_integer(), brownian.DEFAULT_MIN_BIN_COUNT),
+}
+
+# command -> (runner, parameter spec); a runner takes (params, seed, out, paper_units)
+_COMMANDS = {
+    "pcsft-average": (_run_pcsft_average, _MONTE_CARLO),
+    "pcsft-correlation": (_run_pcsft_correlation, dict(_MONTE_CARLO, kernel2=(_matrix, _REQUIRED))),
+    "chsh-quantum": (
+        _run_chsh_quantum, {"angles": (_angles, _REQUIRED), "sweep_points": (_integer(1), 121)}
+    ),
+    "chsh-hv": (_run_chsh_hv, {"strategy": (_object(_STRATEGY), _REQUIRED), "n": (_integer(), _REQUIRED)}),
+    "brownian-ctm": (functools.partial(_run_brownian, underdamped=True), _LANGEVIN),
+    "brownian-om": (functools.partial(_run_brownian, underdamped=False), _LANGEVIN),
+    "velocity-field": (_run_velocity_field, _VELOCITY),
+    "acceptance": (_run_acceptance, {"criteria": (_criteria, None)}),
+}
+
+_CONFIG = {
+    "command": (_string, _REQUIRED),
+    "seed": (_SEED, 0),
+    "out": (_string, None),
+    "paper_units": (_flag, False),
+    # parsed with the command's spec once the command is known
+    "params": (lambda value, path: value, _REQUIRED),
+}
 
 
-def _write_velocity_plot_bundle(out: str) -> None:
-    runio.write_atomic(os.path.join(out, "plot.py"), _VELOCITY_PLOT.encode())
+def validate_config(config: dict) -> dict:
+    """Parse a whole config; returns its fields with defaults filled in."""
+    parsed = _parse(config, _CONFIG, "")
+    if parsed["command"] not in _COMMANDS:
+        expected = ", ".join(_COMMANDS)
+        raise ValidationError(f"unknown command {parsed['command']!r}; expected one of {expected}")
+    parsed["params"] = _parse(parsed["params"], _COMMANDS[parsed["command"]][1], "params")
+    return parsed
 
 
 def run_experiment(
@@ -474,34 +487,16 @@ def run_experiment(
     """
     if threads < 1:
         raise ValidationError("field 'threads' must be >= 1")
-    config = validate_config(config)
-    seed = seed_override if seed_override is not None else config.get("seed", 0)
-    _check_seed(seed)
-    paper_units = (
-        paper_units_override
-        if paper_units_override is not None
-        else bool(config.get("paper_units", False))
-    )
-    os.makedirs(out_dir, exist_ok=True)
-    command = config["command"]
-    params = config["params"]
+    parsed = validate_config(config)
+    seed = parsed["seed"] if seed_override is None else _SEED(seed_override, "seed")
+    paper_units = parsed["paper_units"] if paper_units_override is None else paper_units_override
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory: {exc}") from exc
+    run = _COMMANDS[parsed["command"]][0]
     start = time.perf_counter()
-    if command == "pcsft-average":
-        outputs = _run_pcsft_average(params, seed, out_dir)
-    elif command == "pcsft-correlation":
-        outputs = _run_pcsft_correlation(params, seed, out_dir)
-    elif command == "chsh-quantum":
-        outputs = _run_chsh_quantum(params, seed, out_dir)
-    elif command == "chsh-hv":
-        outputs = _run_chsh_hv(params, seed, out_dir)
-    elif command == "brownian-ctm":
-        outputs = _run_brownian(params, seed, out_dir, paper_units, underdamped=True)
-    elif command == "brownian-om":
-        outputs = _run_brownian(params, seed, out_dir, paper_units, underdamped=False)
-    elif command == "velocity-field":
-        outputs = _run_velocity_field(params, seed, out_dir, paper_units)
-    else:
-        outputs = _run_acceptance(params, out_dir)
+    outputs = run(parsed["params"], seed, out_dir, paper_units)
     runio.write_manifest(
         out_dir,
         config,
@@ -513,9 +508,8 @@ def run_experiment(
     return outputs + ["manifest.json"]
 
 
-def _error_exit(code: int, message: str) -> int:
-    sys.stderr.write(json.dumps({"error": message, "exit_code": code}) + "\n")
-    return code
+def _argument_error(message: str):
+    raise ValidationError(f"bad arguments: {message}")
 
 
 def main(argv=None) -> int:
@@ -523,6 +517,8 @@ def main(argv=None) -> int:
         prog="bildsim",
         description="Field-correspondence, CHSH, and Brownian velocity benches.",
     )
+    # argparse would print its usage text; errors follow the JSON contract instead
+    parser.error = _argument_error
     parser.add_argument("--config", required=True, help="experiment config JSON file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -533,25 +529,24 @@ def main(argv=None) -> int:
         default=None,
         help="set friction to 1 in the overdamped mapping",
     )
-    args = parser.parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _error_exit(2, f"cannot read config: {exc}")
-    out_dir = args.out or config.get("out") or "."
-    try:
+        args = parser.parse_args(argv)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ValidationError(f"cannot read config: {exc}") from exc
         run_experiment(
             config,
-            out_dir,
+            args.out or validate_config(config)["out"] or ".",
             threads=args.threads,
             seed_override=args.seed,
             paper_units_override=args.paper_units,
         )
-    except ValidationError as exc:
-        return _error_exit(2, str(exc))
-    except (NumericalError, RegimeError, BildsimError) as exc:
-        return _error_exit(3, str(exc))
+    except BildsimError as exc:
+        code = 2 if isinstance(exc, ValidationError) else 3
+        sys.stderr.write(json.dumps({"error": str(exc), "exit_code": code}) + "\n")
+        return code
     return 0
 
 

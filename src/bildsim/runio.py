@@ -108,18 +108,21 @@ def load_trajectories(path: str) -> dict:
         header_line = fh.readline()
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ValidationError(f"bad trajectory header: {exc}") from exc
-        if header.get("schema_version") != TRAJECTORY_SCHEMA_VERSION:
-            raise ValidationError(
-                f"unsupported trajectory schema {header.get('schema_version')}"
-            )
+        if not isinstance(header, dict) or header.get("schema_version") != TRAJECTORY_SCHEMA_VERSION:
+            raise ValidationError(f"not a trajectory file of schema {TRAJECTORY_SCHEMA_VERSION}")
         out = {"header": header}
         for block in header["blocks"]:
             shape = tuple(block["shape"])
             count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-            out[block["name"]] = data.reshape(shape)
+            raw = fh.read(count * 8)
+            if len(raw) != count * 8:
+                raise ValidationError(f"trajectory block {block['name']!r} is truncated")
+            out[block["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        excess = os.fstat(fh.fileno()).st_size - fh.tell()
+        if excess:
+            raise ValidationError(f"{excess} bytes follow the last trajectory block")
     return out
 
 

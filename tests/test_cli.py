@@ -1,11 +1,18 @@
+import contextlib
+import copy
 import csv
 import hashlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bildsim import cli, linalg, runio
+from bildsim import brownian, cli, linalg, runio
 
 
 def write_config(tmp_path, config):
@@ -327,3 +334,166 @@ class TestAcceptanceCommand:
         cli.run_experiment({"command": "acceptance", "params": {"criteria": [5]}}, str(out))
         results = json.loads((out / "acceptance.json").read_text())
         assert [(r["number"], r["passed"]) for r in results] == [(5, True)]
+
+
+def run_main(argv):
+    """cli.main(argv); returns (exit code, stderr lines)."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = cli.main(argv)
+    return rc, stderr.getvalue().splitlines()
+
+
+def assert_one_error_line(rc, lines, code):
+    assert rc == code
+    assert len(lines) == 1, lines
+    err = json.loads(lines[0])
+    assert err["exit_code"] == code
+    return err["error"]
+
+
+def langevin_with(**overrides):
+    return {"command": "brownian-om", "params": langevin_params(**overrides)}
+
+
+VELOCITY = {
+    "langevin": langevin_params(store_every=1),
+    "epsilon": 2e-3,
+    "bin_min": -2.0,
+    "bin_max": 2.0,
+    "n_bins": 4,
+}
+ANGLES = [0.0, 1.5707963, 0.7853982, -0.7853982]
+QUANTUM = {"command": "chsh-quantum", "params": {"angles": ANGLES}}
+MALFORMED = [
+    ("params.n", {"command": "chsh-hv", "params": {"strategy": {"kind": "sphere_sign"}, "n": [1]}}),
+    ("params.n", {"command": "chsh-hv", "params": {"strategy": {"kind": "sphere_sign"}, "n": 10.7}}),
+    ("params.strategy", {"command": "chsh-hv", "params": {"strategy": "x", "n": 10}}),
+    (
+        "params.n_samples",
+        {
+            "command": "pcsft-average",
+            "params": {"covariance": identity_json(2), "kernel": identity_json(2), "n_samples": "abc"},
+        },
+    ),
+    ("params.angles", {"command": "chsh-quantum", "params": {"angles": 3}}),
+    ("params.angles[0]", {"command": "chsh-quantum", "params": {"angles": ["a", "b", "c", "d"]}}),
+    ("params.sweep_points", {"command": "chsh-quantum", "params": {"angles": ANGLES, "sweep_points": "x"}}),
+    ("params.sweep_points", {"command": "chsh-quantum", "params": {"angles": ANGLES, "sweep_points": -1}}),
+    ("params.potential", langevin_with(potential="x")),
+    ("params.n_trajectories", langevin_with(n_trajectories="5")),
+    ("params.dt", langevin_with(dt="x")),
+    ("params.temperatures", langevin_with(temperatures="ab")),
+    ("params.store_every", langevin_with(store_every=2.5)),
+    (
+        "params.potential: junk",
+        langevin_with(potential={"kind": "harmonic", "spring_constants": [1], "junk": 3}),
+    ),
+    ("params.epsilon", {"command": "velocity-field", "params": dict(VELOCITY, epsilon="x")}),
+    ("params.n_bins", {"command": "velocity-field", "params": dict(VELOCITY, n_bins=0)}),
+    ("params.langevin", {"command": "velocity-field", "params": dict(VELOCITY, langevin=[1])}),
+    ("config", [QUANTUM]),
+    ("paper_units", dict(QUANTUM, paper_units="no")),
+    ("seed", dict(QUANTUM, seed=True)),
+    ("params.criteria[0]", {"command": "acceptance", "params": {"criteria": [99]}}),
+    ("params.criteria", {"command": "acceptance", "params": {"criteria": "x"}}),
+]
+
+
+@pytest.mark.parametrize("where,config", MALFORMED, ids=[f"{i}-{w}" for i, (w, _) in enumerate(MALFORMED)])
+def test_malformed_config_exits_2(tmp_path, where, config):
+    rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
+    assert where in assert_one_error_line(rc, lines, 2)
+    assert not (tmp_path / "o").exists()
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("extra", [["--seed", "abc"], ["--bogus"], ["--threads"], None])
+    def test_argparse_error_is_one_json_line(self, tmp_path, extra):
+        # None: --config itself is missing
+        argv = [] if extra is None else ["--config", write_config(tmp_path, QUANTUM), *extra]
+        rc, lines = run_main(argv)
+        assert "argument" in assert_one_error_line(rc, lines, 2)
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_is_a_file(self, tmp_path, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        rc, lines = run_main(["--config", write_config(tmp_path, QUANTUM), "--out", str(blocker / below)])
+        assert "output directory" in assert_one_error_line(rc, lines, 2)
+
+
+class TestTrajectoryFile:
+    def test_damaged_files_rejected(self, tmp_path):
+        config = brownian.LangevinConfig.from_dict(dict(langevin_params(n_trajectories=5), seed=1))
+        path = tmp_path / "ok.bin"
+        runio.save_trajectories(str(path), brownian.integrate_overdamped(config))
+        data = path.read_bytes()
+        assert runio.load_trajectories(str(path))["x"].shape == (5, 11, 1)
+        (tmp_path / "short.bin").write_bytes(data[:-8])
+        with pytest.raises(cli.ValidationError, match="block 'x' is truncated"):
+            runio.load_trajectories(str(tmp_path / "short.bin"))
+        (tmp_path / "long.bin").write_bytes(data + bytes(8))
+        with pytest.raises(cli.ValidationError, match="8 bytes follow"):
+            runio.load_trajectories(str(tmp_path / "long.bin"))
+
+
+# small valid configs: no mutation with the numbers below can make them run long
+FUZZ_SEEDS = {
+    "pcsft-average": {"covariance": identity_json(2), "kernel": identity_json(2), "n_samples": 100},
+    "pcsft-correlation": {
+        "covariance": identity_json(2),
+        "kernel": identity_json(2),
+        "kernel2": identity_json(2),
+        "n_samples": 100,
+    },
+    "chsh-quantum": {"angles": ANGLES, "sweep_points": 5},
+    "chsh-hv": {"strategy": {"kind": "sphere_sign", "angles": ANGLES}, "n": 100},
+    "brownian-ctm": langevin_params(dt=1e-2, t_end=0.05, n_trajectories=10, x_init=0.0),
+    "brownian-om": langevin_params(t_end=0.01, n_trajectories=10),
+    "velocity-field": dict(
+        VELOCITY, langevin=langevin_params(n_trajectories=100, store_every=1), min_count=5
+    ),
+}
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=4) | st.sampled_from([-1, 0, 0.5, 1, 2, 3.7]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def locations(obj, path=()):
+    """(path to a container, key or index) for every value at any depth."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path, key
+        yield from locations(value, path + (key,))
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_SEEDS))
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_config_exits_cleanly(command, data):
+    config = copy.deepcopy({"command": command, "params": FUZZ_SEEDS[command], "seed": 7})
+    path, key = data.draw(st.sampled_from(list(locations(config))))
+    container = config
+    for step in path:
+        container = container[step]
+    action = data.draw(st.sampled_from(["drop", "add", "replace"]))
+    if action == "drop":
+        del container[key]
+    elif action == "replace":
+        container[key] = data.draw(JUNK)
+    elif isinstance(container, list):
+        container.append(data.draw(JUNK))
+    else:
+        container[data.draw(st.text(max_size=4))] = data.draw(JUNK)
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "config.json")
+        with open(config_path, "w") as fh:
+            json.dump(config, fh)
+        rc, lines = run_main(["--config", config_path, "--out", os.path.join(tmp, "o")])
+    assert rc in (0, 2, 3)
+    if rc:
+        assert_one_error_line(rc, lines, rc)
