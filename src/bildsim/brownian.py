@@ -14,6 +14,7 @@ Their half-difference is the osmotic velocity, equal in law to
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -22,6 +23,13 @@ import numpy as np
 from .errors import NumericalError, RegimeError, ValidationError
 
 DEFAULT_MIN_BIN_COUNT = 200
+
+# binned KDE of log_density_gradient: kernel cut in bandwidths, grid nodes
+# per bandwidth, most grid nodes, samples binned per pass
+_KDE_REACH = 40.0
+_KDE_NODES_PER_BANDWIDTH = 256
+_KDE_MAX_NODES = 2**22
+_KDE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -313,13 +321,24 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     Draw order, which fixes the output bit for bit for a (config, seed):
     initial positions, initial momenta (underdamped only), then one
     standard-normal array of shape x.shape per step. The state that carries
-    the noise (p, or x when overdamped) is checked every 200 steps.
+    the noise (p, or x when overdamped) is checked every 200 steps. Storage
+    larger than the machine's physical memory is a ValidationError, raised
+    before anything is allocated.
     """
     n_steps = int(round(config.t_end / config.dt))
+    n_stored = n_steps // config.store_every + 1
+    # xs, ps (underdamped) and times, checked before numpy is asked for them
+    per_time = (1 + underdamped) * config.n_trajectories * config.n_particles + 1
+    stored_bytes = 8 * n_stored * per_time
+    physical_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if stored_bytes > physical_bytes:
+        raise ValidationError(
+            f"the stored ensemble needs {stored_bytes / 2**30:.3g} GiB, more than "
+            f"the {physical_bytes / 2**30:.3g} GiB of physical memory"
+        )
     rng = np.random.Generator(np.random.Philox(np.uint64(config.seed)))
     x = _initial_positions(config, rng)
     p = _initial_momenta(config, rng) if underdamped else None
-    n_stored = len(range(0, n_steps + 1, config.store_every))
     xs = np.empty((config.n_trajectories, n_stored, config.n_particles))
     ps = np.empty_like(xs) if underdamped else None
     times = np.empty(n_stored)
@@ -603,16 +622,53 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 def log_density_gradient(
     samples: np.ndarray, points: np.ndarray, bandwidth: float | None = None
 ) -> np.ndarray:
-    """d/dx log of a Gaussian-kernel density estimate, at the given points."""
+    """d/dx log of a Gaussian-kernel density estimate, at the given points.
+
+    The bandwidth h defaults to Silverman's rule. The samples are binned
+    linearly (Wand 1994) onto a uniform grid of spacing delta = h/256 that
+    spans [max(min s, min p - 40h), min(max s, max p + 40h)], in blocks of
+    2^16 samples; each point then sums the kernel over the nodes within 40h
+    of it (Silverman 1982, AS 176). A sample farther than 40h from a point
+    has kernel weight exp(-800), which is 0.0 in double precision, so both
+    cuts are exact. Linear binning keeps each sample's mass and mean; it
+    moves the weight of a sample z bandwidths from a point by a relative
+    amount of at most (delta/h)^2 |z^2 - 1| / 8, about 1.9e-6 |z^2 - 1|.
+    The grid holds at most 2^22 nodes: a wider span widens delta, and the
+    bound grows with (delta/h)^2. Points with no sample within 40h, and a
+    bandwidth that is not positive (identical samples), give nan.
+    """
     s = np.asarray(samples, dtype=float).ravel()
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     h = silverman_bandwidth(s) if bandwidth is None else bandwidth
-    grads = np.empty(pts.size)
+    if not h > 0:
+        return np.full(pts.size, np.nan)
+    reach = _KDE_REACH * h
+    lo = max(float(s.min()), float(pts.min()) - reach)
+    hi = min(float(s.max()), float(pts.max()) + reach)
+    span = max(hi - lo, 0.0)
+    delta = max(h / _KDE_NODES_PER_BANDWIDTH, span / (_KDE_MAX_NODES - 2))
+    n_nodes = int(span / delta) + 2
+    # node j sits at lo + j delta; a sample at lo + (j + f) delta puts
+    # weight 1 - f on node j and f on node j + 1
+    counts = np.zeros(n_nodes)
+    for start in range(0, s.size, _KDE_BLOCK):
+        block = s[start : start + _KDE_BLOCK]
+        t = (block[(block >= lo) & (block <= hi)] - lo) / delta
+        j = t.astype(np.intp)
+        frac = t - j
+        counts += np.bincount(j, 1.0 - frac, n_nodes)
+        counts[1:] += np.bincount(j, frac, n_nodes - 1)
+    first = np.clip(np.ceil((pts - reach - lo) / delta), 0, n_nodes).astype(np.intp)
+    stop = np.clip(np.floor((pts + reach - lo) / delta) + 1, 0, n_nodes).astype(np.intp)
+    num = np.empty(pts.size)
+    den = np.empty(pts.size)
     for i, x in enumerate(pts):
-        z = (s - x) / h
-        w = np.exp(-0.5 * z * z)
-        grads[i] = np.sum(w * (s - x)) / (h * h * np.sum(w))
-    return grads
+        d = lo + np.arange(first[i], stop[i]) * delta - x
+        w = counts[first[i] : stop[i]] * np.exp(-0.5 * (d / h) ** 2)
+        num[i] = w @ d
+        den[i] = w.sum()
+    with np.errstate(invalid="ignore"):
+        return num / (h * h * den)
 
 
 def fokker_planck_residual(

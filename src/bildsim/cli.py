@@ -19,6 +19,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -529,6 +530,7 @@ def main(argv=None) -> int:
         default=None,
         help="set friction to 1 in the overdamped mapping",
     )
+    caught = []
     try:
         args = parser.parse_args(argv)
         try:
@@ -536,17 +538,25 @@ def main(argv=None) -> int:
                 config = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
             raise ValidationError(f"cannot read config: {exc}") from exc
-        run_experiment(
-            config,
-            args.out or validate_config(config)["out"] or ".",
-            threads=args.threads,
-            seed_override=args.seed,
-            paper_units_override=args.paper_units,
-        )
+        # held back, so that a failed run's stderr is one JSON object
+        with warnings.catch_warnings(record=True) as caught:
+            run_experiment(
+                config,
+                args.out or validate_config(config)["out"] or ".",
+                threads=args.threads,
+                seed_override=args.seed,
+                paper_units_override=args.paper_units,
+            )
     except BildsimError as exc:
         code = 2 if isinstance(exc, ValidationError) else 3
-        sys.stderr.write(json.dumps({"error": str(exc), "exit_code": code}) + "\n")
+        record = {"error": str(exc), "exit_code": code}
+        if caught:
+            seen = (f"{w.category.__name__}: {w.message}" for w in caught)
+            record["warnings"] = list(dict.fromkeys(seen))
+        sys.stderr.write(json.dumps(record) + "\n")
         return code
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     return 0
 
 

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,6 +16,7 @@ from bildsim.brownian import (
     momentum_resolution_check,
     nonsmoothness_witness,
     osmotic_velocity,
+    silverman_bandwidth,
     timescale_report,
 )
 from bildsim.errors import NumericalError, RegimeError, ValidationError
@@ -216,6 +220,13 @@ class TestOverdamped:
         np.testing.assert_allclose(config.diffusion_coefficients(), [1.0])
 
 
+@pytest.mark.parametrize("integrate", [integrate_overdamped, integrate_underdamped])
+def test_storage_beyond_physical_memory_rejected(integrate):
+    config = harmonic_config(n_trajectories=10**30)
+    with pytest.raises(ValidationError, match="physical memory"):
+        integrate(config)
+
+
 class TestFokkerPlanckResidual:
     def test_stationary_harmonic(self):
         config = harmonic_config(n_trajectories=10**6, t_end=0.1, store_every=20)
@@ -362,6 +373,98 @@ class TestOsmoticVelocity:
         _, vm = coarse_velocities(stationary_ensemble, 4e-3, np.linspace(-2, 2, 5))
         with pytest.raises(ValidationError, match="bins"):
             osmotic_velocity(vp, vm)
+
+
+def direct_log_density_gradient(samples, points, bandwidth=None):
+    """Reference: the O(N P) sum over every sample for every point."""
+    s = np.asarray(samples, dtype=float).ravel()
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    h = silverman_bandwidth(s) if bandwidth is None else bandwidth
+    grads = np.empty(pts.size)
+    for i, x in enumerate(pts):
+        z = (s - x) / h
+        w = np.exp(-0.5 * z * z)
+        grads[i] = np.sum(w * (s - x)) / (h * h * np.sum(w))
+    return grads
+
+
+class TestLogDensityGradient:
+    """The binned estimate against the direct sum. Linear binning on a grid
+    of h/256 moves each kernel weight by at most (1/256)^2 |z^2 - 1| / 8,
+    about 2e-6 |z^2 - 1|, hence rtol 1e-5 near the samples, and an atol of
+    1e-5 / h where the gradient passes through zero."""
+
+    def assert_matches_direct(self, samples, points, bandwidth=None):
+        got = log_density_gradient(samples, points, bandwidth)
+        want = direct_log_density_gradient(samples, points, bandwidth)
+        h = silverman_bandwidth(samples) if bandwidth is None else bandwidth
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 / h)
+        return got
+
+    def test_gaussian_matches_direct_sum(self):
+        s = np.random.default_rng(5).standard_normal(200_000)
+        self.assert_matches_direct(s, np.linspace(-3.0, 3.0, 41))
+
+    def test_gaussian_closed_form(self):
+        # samples at the normal quantiles: the estimate is the N(0, sigma^2 + h^2)
+        # log-density gradient, -x / (sigma^2 + h^2), up to binning error
+        sigma, h, n = 0.5, 0.1, 20_001
+        s = sigma * stats.norm.ppf((np.arange(n) + 0.5) / n)
+        x = np.linspace(-2 * sigma, 2 * sigma, 9)
+        got = log_density_gradient(s, x, bandwidth=h)
+        np.testing.assert_allclose(got, -x / (sigma**2 + h**2), atol=1e-5)
+
+    def test_bimodal_modes_50h_apart(self):
+        h = 0.02
+        rng = np.random.default_rng(6)
+        s = np.concatenate([rng.normal(-25 * h, 3 * h, 60_000), rng.normal(25 * h, 3 * h, 30_000)])
+        self.assert_matches_direct(s, np.linspace(-35 * h, 35 * h, 57), bandwidth=h)
+
+    def test_point_10h_outside_the_samples(self):
+        s = np.random.default_rng(7).standard_normal(50_000)
+        h = silverman_bandwidth(s)
+        got = self.assert_matches_direct(s, [s.min() - 10 * h, s.max() + 10 * h])
+        assert got[0] > 0 > got[1]
+
+    def test_point_beyond_40h_is_nan_without_warnings(self):
+        s = np.random.default_rng(8).standard_normal(10_000)
+        h = silverman_bandwidth(s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_density_gradient(s, [s.max() + 41 * h, 0.0, s.min() - 1e3])
+        assert np.isnan(got[0]) and np.isnan(got[2])
+        assert np.isfinite(got[1])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            assert np.isnan(direct_log_density_gradient(s, [s.max() + 41 * h])[0])
+
+    def test_identical_samples_give_nan(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log_density_gradient(np.full(100, 0.3), [0.3, 1.0])
+        assert got.shape == (2,) and np.all(np.isnan(got))
+
+    def test_explicit_bandwidth(self):
+        s = np.random.default_rng(9).exponential(1.0, 100_000)
+        got = self.assert_matches_direct(s, np.linspace(0.1, 5.0, 30), bandwidth=0.3)
+        # one sample value: the gradient is (s - x) / h^2 exactly
+        np.testing.assert_allclose(log_density_gradient(np.full(10, 2.0), [1.0], 0.5), [4.0])
+        assert not np.allclose(got, log_density_gradient(s, np.linspace(0.1, 5.0, 30), 0.1))
+
+    def test_scalar_point(self):
+        s = np.random.default_rng(10).standard_normal(10_000)
+        got = log_density_gradient(s, 0.5)
+        assert got.shape == (1,)
+        np.testing.assert_allclose(got, direct_log_density_gradient(s, 0.5), rtol=1e-5)
+
+    def test_memory_stays_below_16_mib(self):
+        s = np.random.default_rng(11).standard_normal(4_000_000)
+        tracemalloc.start()
+        try:
+            log_density_gradient(s, np.linspace(-2.0, 2.0, 41), bandwidth=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
 
 
 class TestNonsmoothness:

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -421,6 +423,29 @@ class TestArgumentErrors:
         blocker.write_text("x")
         rc, lines = run_main(["--config", write_config(tmp_path, QUANTUM), "--out", str(blocker / below)])
         assert "output directory" in assert_one_error_line(rc, lines, 2)
+
+
+class TestResourceAndBlowUpErrors:
+    def test_ensemble_beyond_physical_memory_exits_2(self, tmp_path):
+        config_path = write_config(tmp_path, langevin_with(n_trajectories=10**30))
+        rc, lines = run_main(["--config", config_path, "--out", str(tmp_path / "o")])
+        assert "physical memory" in assert_one_error_line(rc, lines, 2)
+
+    def test_blow_up_warnings_go_inside_the_json_line(self, tmp_path):
+        # a child interpreter: pytest captures warnings, so only a real
+        # process shows what reaches stderr
+        quartic = {"kind": "polynomial", "coefficients": [0, 0, 0, 0, 1]}
+        config = langevin_with(potential=quartic, x_init=100, dt=0.01, t_end=0.5, n_trajectories=10, store_every=1)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bildsim.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        lines = proc.stderr.splitlines()
+        assert "blew up" in assert_one_error_line(proc.returncode, lines, 3)
+        assert any("overflow" in w for w in json.loads(lines[0])["warnings"])
 
 
 class TestTrajectoryFile:
