@@ -14,13 +14,12 @@ Their half-difference is the osmotic velocity, equal in law to
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NumericalError, RegimeError, ValidationError
+from .errors import NumericalError, RegimeError, ValidationError, check_memory
 
 DEFAULT_MIN_BIN_COUNT = 200
 
@@ -322,20 +321,18 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     initial positions, initial momenta (underdamped only), then one
     standard-normal array of shape x.shape per step. The state that carries
     the noise (p, or x when overdamped) is checked every 200 steps. Storage
-    larger than the machine's physical memory is a ValidationError, raised
-    before anything is allocated.
+    larger than the machine's physical memory, or a step count t_end / dt
+    too large to be a number, is a ValidationError, raised before anything is
+    allocated.
     """
-    n_steps = int(round(config.t_end / config.dt))
+    steps = config.t_end / config.dt
+    if not math.isfinite(steps):
+        raise ValidationError(f"t_end / dt = {steps} is not a finite step count")
+    n_steps = int(round(steps))
     n_stored = n_steps // config.store_every + 1
-    # xs, ps (underdamped) and times, checked before numpy is asked for them
+    # xs, ps (underdamped) and times
     per_time = (1 + underdamped) * config.n_trajectories * config.n_particles + 1
-    stored_bytes = 8 * n_stored * per_time
-    physical_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if stored_bytes > physical_bytes:
-        raise ValidationError(
-            f"the stored ensemble needs {stored_bytes / 2**30:.3g} GiB, more than "
-            f"the {physical_bytes / 2**30:.3g} GiB of physical memory"
-        )
+    check_memory(8 * n_stored * per_time, "the stored ensemble")
     rng = np.random.Generator(np.random.Philox(np.uint64(config.seed)))
     x = _initial_positions(config, rng)
     p = _initial_momenta(config, rng) if underdamped else None

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, ValidationError, check_memory
 
 PAIR_NAMES = ("A1B1", "A1B2", "A2B1", "A2B2", "A1A2", "B1B2")
 _COLUMNS = {"A1": 0, "A2": 1, "B1": 2, "B2": 3}
@@ -26,7 +26,7 @@ OPTIMAL_ANGLES = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
 
 @dataclass(frozen=True)
 class ChshAngles:
-    """Measurement angles (a1, a2) for Alice and (b1, b2) for Bob, radians."""
+    """Measurement angles (a1, a2) for Alice and (b1, b2) for Bob, radians, or arrays that broadcast."""
 
     a1: float
     a2: float
@@ -35,7 +35,7 @@ class ChshAngles:
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2"):
-            if not np.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError(f"angle {name} is not finite")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -55,50 +55,45 @@ def singlet_state() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def quantum_correlation(rho: np.ndarray, theta_a: float, theta_b: float) -> float:
-    """Correlation Tr(rho A(theta_a) (x) B(theta_b)) in [-1, 1]."""
+def quantum_correlation(rho: np.ndarray, theta_a, theta_b) -> float | np.ndarray:
+    """Correlation Tr(rho A(theta_a) (x) B(theta_b)) in [-1, 1], a float for two scalar angles.
+
+    Arrays of angles broadcast: E = (cos a, sin a) T (cos b, sin b)^T, with rho validated and its
+    z/x correlation tensor T_ij = Tr(rho s_i (x) s_j), s = (sigma_z, sigma_x), built once per call.
+    """
     r = linalg.check_density(rho)
     if r.shape != (4, 4):
         raise DimensionMismatchError("two-qubit state must be 4x4")
-    ab = linalg.tensor_product(
-        observable_from_angle(theta_a), observable_from_angle(theta_b)
-    )
-    val = linalg.trace_product(r, ab)
-    if abs(val) > 1.0 + 1e-10:
-        raise ValidationError(f"correlation {val} outside [-1, 1]")
-    return float(np.clip(val, -1.0, 1.0))
+    zx = (linalg.SIGMA_Z, linalg.SIGMA_X)
+    (tzz, tzx), (txz, txx) = [[linalg.trace_product(r, linalg.tensor_product(i, j)) for j in zx] for i in zx]
+    ca, sa, cb, sb = np.cos(theta_a), np.sin(theta_a), np.cos(theta_b), np.sin(theta_b)
+    val = ca * cb * tzz + ca * sb * tzx + sa * cb * txz + sa * sb * txx
+    if not np.all(np.abs(val) <= 1.0 + 1e-10):
+        raise ValidationError(f"correlation of magnitude {np.max(np.abs(val))} outside [-1, 1]")
+    val = np.clip(val, -1.0, 1.0)
+    return float(val) if np.ndim(val) == 0 else val
 
 
-def chsh_value(rho: np.ndarray, angles: ChshAngles) -> float:
-    """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2)."""
-    e11 = quantum_correlation(rho, angles.a1, angles.b1)
-    e12 = quantum_correlation(rho, angles.a1, angles.b2)
-    e21 = quantum_correlation(rho, angles.a2, angles.b1)
-    e22 = quantum_correlation(rho, angles.a2, angles.b2)
-    return e11 + e12 + e21 - e22
+def chsh_value(rho: np.ndarray, angles: ChshAngles) -> float | np.ndarray:
+    """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2), broadcast over the angles."""
+    a1, a2, b1, b2 = angles.as_tuple()
+    s = quantum_correlation(rho, a1, b1) + quantum_correlation(rho, a1, b2) + quantum_correlation(rho, a2, b1)
+    # in place: those three terms span all four angles, so no second array of S's size is made
+    s -= quantum_correlation(rho, a2, b2)
+    return s
 
 
 def chsh_grid_max(rho: np.ndarray, n_angles: int = 61) -> tuple[float, ChshAngles]:
     """Maximum |S| over a uniform angle grid, with the attaining settings.
 
-    The per-pair correlation table is computed once and the four-index
-    combination broadcast, so the quartic grid stays cheap.
+    S is broadcast over a 4-D grid with one axis per angle (a1, a2, b1, b2);
+    each correlation it sums varies along two of the axes only.
     """
-    thetas = np.linspace(-np.pi, np.pi, n_angles)
-    table = np.empty((n_angles, n_angles))
-    for i, ta in enumerate(thetas):
-        for j, tb in enumerate(thetas):
-            table[i, j] = quantum_correlation(rho, ta, tb)
-    s = (
-        table[:, None, :, None]
-        + table[:, None, None, :]
-        + table[None, :, :, None]
-        - table[None, :, None, :]
-    )
-    flat = np.argmax(np.abs(s))
-    i1, i2, j1, j2 = np.unravel_index(flat, s.shape)
-    best = ChshAngles(thetas[i1], thetas[i2], thetas[j1], thetas[j2])
-    return float(np.abs(s).max()), best
+    t = np.linspace(-np.pi, np.pi, n_angles)
+    s = chsh_value(rho, ChshAngles(t[:, None, None, None], t[None, :, None, None], t[:, None], t))
+    np.abs(s, out=s)
+    i1, i2, j1, j2 = np.unravel_index(np.argmax(s), s.shape)
+    return float(s[i1, i2, j1, j2]), ChshAngles(t[i1], t[i2], t[j1], t[j2])
 
 
 def compatibility_audit(angles: ChshAngles) -> dict:
@@ -174,6 +169,8 @@ def hv_sample(strategy: HvStrategy, n: int, seed: int) -> OutcomeStream:
     """Evaluate all four responses on n independent lambda draws."""
     if n < 1:
         raise ValidationError("need at least one record")
+    # the outcomes are int8; sphere_sign also draws three float64 per record
+    check_memory(n * (4 if strategy.kind == "constant" else 4 + 24), "the outcome stream")
     if strategy.kind == "constant":
         out = np.tile(np.array(strategy.constants, dtype=np.int8), (n, 1))
         return OutcomeStream(outcomes=out, seed=seed, strategy=strategy.describe())

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from . import __version__, acceptance, brownian, chsh, fields, linalg, runio
-from .errors import BildsimError, NumericalError, ValidationError
+from .errors import BildsimError, NumericalError, ValidationError, check_memory
 
 # CSV threshold below which trajectory output stays human-readable
 CSV_TRAJECTORY_LIMIT = 50_000
@@ -202,12 +202,9 @@ def _run_pcsft_correlation(params: dict, seed: int, out: str, paper_units: bool)
 
 def _quantum_pairs(rho, angles: chsh.ChshAngles) -> dict:
     """Quantum correlations of the four Alice-Bob pairs, by pair name."""
-    return {
-        "A1B1": chsh.quantum_correlation(rho, angles.a1, angles.b1),
-        "A1B2": chsh.quantum_correlation(rho, angles.a1, angles.b2),
-        "A2B1": chsh.quantum_correlation(rho, angles.a2, angles.b1),
-        "A2B2": chsh.quantum_correlation(rho, angles.a2, angles.b2),
-    }
+    a = [angles.a1, angles.a1, angles.a2, angles.a2]
+    b = [angles.b1, angles.b2, angles.b1, angles.b2]
+    return dict(zip(chsh.PAIR_NAMES[:4], chsh.quantum_correlation(rho, np.array(a), np.array(b))))
 
 
 def _write_correlations(out: str, rows: list, summary: dict) -> list[str]:
@@ -230,12 +227,12 @@ def _run_chsh_quantum(params: dict, seed: int, out: str, paper_units: bool) -> l
         "degenerate_settings": audit["degenerate"],
     }
     _write_correlations(out, rows, summary)
-    thetas = np.linspace(0.0, np.pi, params["sweep_points"])
-    sweep_rows = []
-    for theta in thetas:
-        sw = chsh.chsh_value(rho, chsh.ChshAngles(0.0, np.pi / 2, theta, -theta))
-        sweep_rows.append([_fmt(theta), _fmt(sw)])
-    runio.write_csv(os.path.join(out, "sweep.csv"), ["theta", "S"], sweep_rows)
+    n = params["sweep_points"]
+    # theta, S, and the correlations and temporaries behind S
+    check_memory(8 * 8 * n, "the sweep")
+    thetas = np.linspace(0.0, np.pi, n)
+    sweep = chsh.chsh_value(rho, chsh.ChshAngles(0.0, np.pi / 2, thetas, -thetas))
+    runio.write_csv(os.path.join(out, "sweep.csv"), ["theta", "S"], zip(map(_fmt, thetas), map(_fmt, sweep)))
     runio.write_atomic(os.path.join(out, "plot.py"), _SWEEP_PLOT.encode())
     return ["correlations.csv", "summary.json", "sweep.csv", "plot.py"]
 

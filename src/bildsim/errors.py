@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all bildsim modules."""
+"""Exception hierarchy shared by all bildsim modules, and the memory check
+that turns an oversized request into one of them."""
+
+import os
 
 
 class BildsimError(Exception):
@@ -23,3 +26,14 @@ class NumericalError(BildsimError):
 
 class RegimeError(BildsimError):
     """Requested estimate is outside its validity regime (time scales, step size)."""
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise ValidationError when ``what`` needs more bytes than the machine's
+    physical memory; called before numpy is asked for them."""
+    physical_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > physical_bytes:
+        raise ValidationError(
+            f"{what} needs {nbytes / 2**30:.3g} GiB, more than "
+            f"the {physical_bytes / 2**30:.3g} GiB of physical memory"
+        )

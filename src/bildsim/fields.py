@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateMeasureError, DimensionMismatchError, ValidationError
+from .errors import DegenerateMeasureError, DimensionMismatchError, ValidationError, check_memory
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ def sample_fields(measure: FieldMeasure, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValidationError("need at least one sample")
     d = measure.dim
+    # z, the complex normals built from it, and phi: 16 bytes per entry each
+    check_memory(48 * n * d, "the field samples")
     factor = _covariance_factor(measure.covariance)
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     z = rng.standard_normal((n, 2 * d))

@@ -10,6 +10,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -112,15 +113,25 @@ def load_trajectories(path: str) -> dict:
             raise ValidationError(f"bad trajectory header: {exc}") from exc
         if not isinstance(header, dict) or header.get("schema_version") != TRAJECTORY_SCHEMA_VERSION:
             raise ValidationError(f"not a trajectory file of schema {TRAJECTORY_SCHEMA_VERSION}")
+        blocks = header.get("blocks")
+        if not isinstance(blocks, list):
+            raise ValidationError("trajectory header has no list of blocks")
         out = {"header": header}
-        for block in header["blocks"]:
+        size = os.fstat(fh.fileno()).st_size
+        for block in blocks:
+            if not (
+                isinstance(block, dict)
+                and isinstance(block.get("name"), str)
+                and isinstance(block.get("shape"), list)
+                and all(type(k) is int and k >= 0 for k in block["shape"])
+            ):
+                raise ValidationError(f"foreign trajectory block {block!r:.60}")
             shape = tuple(block["shape"])
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+            nbytes = 8 * math.prod(shape)
+            if nbytes > size - fh.tell():
                 raise ValidationError(f"trajectory block {block['name']!r} is truncated")
-            out[block["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        excess = os.fstat(fh.fileno()).st_size - fh.tell()
+            out[block["name"]] = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape)
+        excess = size - fh.tell()
         if excess:
             raise ValidationError(f"{excess} bytes follow the last trajectory block")
     return out

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bildsim import chsh, linalg
+from bildsim import chsh, cli, linalg
 from bildsim.errors import ValidationError
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -60,6 +60,39 @@ class TestQuantumCorrelation:
             0.0, abs=1e-12
         )
 
+    def test_arrays_broadcast_against_singlet_vector(self):
+        rng = np.random.default_rng(13)
+        ta = rng.uniform(-np.pi, np.pi, size=(5, 1))
+        tb = rng.uniform(-np.pi, np.pi, size=(1, 7))
+        vals = chsh.quantum_correlation(chsh.singlet_state(), ta, tb)
+        assert vals.shape == (5, 7)
+        psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+        for i in range(5):
+            for j in range(7):
+                ab = np.kron(
+                    chsh.observable_from_angle(ta[i, 0]), chsh.observable_from_angle(tb[0, j])
+                )
+                assert vals[i, j] == pytest.approx((psi.conj() @ ab @ psi).real, abs=1e-15)
+
+    def test_sweep_validates_rho_a_fixed_number_of_times(self, tmp_path, monkeypatch):
+        calls = []
+        check_density = linalg.check_density
+        monkeypatch.setattr(linalg, "check_density", lambda m: calls.append(1) or check_density(m))
+        counts = []
+        for points in (11, 2001):
+            calls.clear()
+            params = {"angles": list(chsh.OPTIMAL_ANGLES), "sweep_points": points}
+            config = {"command": "chsh-quantum", "params": params}
+            cli.run_experiment(config, str(tmp_path / str(points)))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+
+def random_density(rng) -> np.ndarray:
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
 
 class TestChshValue:
     def test_optimal_angles(self):
@@ -84,6 +117,18 @@ class TestChshValue:
         # setting pairs are orthogonal and offset by pi/4 from the other lab
         audit = chsh.compatibility_audit(best)
         assert not audit["degenerate"]
+
+    def test_grid_maximum_within_horodecki_bound(self):
+        # Horodecki, Phys. Lett. A 200, 340 (1995): over settings in the z-x
+        # plane max |S| = 2 ||sv(T)||_2 with T_ij = Tr(rho s_i (x) s_j); the
+        # grid misses each optimal angle by at most pi/60
+        rng = np.random.default_rng(14)
+        paulis = (linalg.SIGMA_Z, linalg.SIGMA_X)
+        for rho in [chsh.singlet_state()] + [random_density(rng) for _ in range(20)]:
+            t = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in paulis] for si in paulis])
+            bound = 2.0 * np.linalg.norm(np.linalg.svd(t, compute_uv=False))
+            grid_max, _ = chsh.chsh_grid_max(rho, 61)
+            assert np.cos(np.pi / 60) ** 2 * bound <= grid_max <= bound + 1e-12
 
     def test_degeneracy_guard(self):
         rng = np.random.default_rng(2)

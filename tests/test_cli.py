@@ -431,6 +431,27 @@ class TestResourceAndBlowUpErrors:
         rc, lines = run_main(["--config", config_path, "--out", str(tmp_path / "o")])
         assert "physical memory" in assert_one_error_line(rc, lines, 2)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {
+                "command": "pcsft-average",
+                "params": {"covariance": identity_json(2), "kernel": identity_json(2), "n_samples": 10**15},
+            },
+            {"command": "chsh-hv", "params": {"strategy": {"kind": "sphere_sign"}, "n": 10**15}},
+            {"command": "chsh-quantum", "params": {"angles": ANGLES, "sweep_points": 10**15}},
+        ],
+        ids=["samples", "records", "sweep"],
+    )
+    def test_counts_beyond_physical_memory_exit_2(self, tmp_path, config):
+        rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
+        assert "physical memory" in assert_one_error_line(rc, lines, 2)
+
+    def test_step_count_overflow_exits_2(self, tmp_path):
+        config_path = write_config(tmp_path, langevin_with(dt=1e-300, t_end=1e300))
+        rc, lines = run_main(["--config", config_path, "--out", str(tmp_path / "o")])
+        assert "step count" in assert_one_error_line(rc, lines, 2)
+
     def test_blow_up_warnings_go_inside_the_json_line(self, tmp_path):
         # a child interpreter: pytest captures warnings, so only a real
         # process shows what reaches stderr
@@ -461,6 +482,18 @@ class TestTrajectoryFile:
         (tmp_path / "long.bin").write_bytes(data + bytes(8))
         with pytest.raises(cli.ValidationError, match="8 bytes follow"):
             runio.load_trajectories(str(tmp_path / "long.bin"))
+        body = data[data.index(b"\n") + 1 :]
+        foreign = [
+            {"schema_version": 1},
+            {"schema_version": 1, "blocks": [{"shape": [11]}]},
+            {"schema_version": 1, "blocks": [{"name": "times", "shape": "ab"}]},
+            {"schema_version": 1, "blocks": [{"name": "times", "shape": [-1]}]},
+            {"schema_version": 1, "blocks": [{"name": "times", "shape": [10**12]}]},
+        ]
+        for i, header in enumerate(foreign):
+            (tmp_path / f"foreign{i}.bin").write_bytes(json.dumps(header).encode() + b"\n" + body)
+            with pytest.raises(cli.ValidationError):
+                runio.load_trajectories(str(tmp_path / f"foreign{i}.bin"))
 
 
 # small valid configs: no mutation with the numbers below can make them run long
