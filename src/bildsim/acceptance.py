@@ -173,28 +173,28 @@ def criterion_7() -> CriterionResult:
     )
 
 
-def _stationary_harmonic_config(seed=77, n_traj=10**5, t_end=0.1, store_every=10):
-    return LangevinConfig(
+def _langevin(**overrides) -> LangevinConfig:
+    """One unit-mass particle at unit friction and temperature, in the k = 1
+    harmonic well, started from its stationary law, stepped at dt 1e-3 and
+    stored every step; ``overrides`` replace any of these fields."""
+    base = dict(
         n_particles=1,
         mass=1.0,
         friction=1.0,
         temperatures=(1.0,),
         potential=Potential.harmonic(1.0),
         dt=1e-3,
-        t_end=t_end,
-        n_trajectories=n_traj,
-        seed=seed,
         x_init="stationary",
-        store_every=store_every,
+        store_every=1,
     )
+    return LangevinConfig(**dict(base, **overrides))
 
 
 def criterion_8() -> CriterionResult:
     """Stationary law of the overdamped harmonic oscillator."""
     from scipy import stats
 
-    config = _stationary_harmonic_config()
-    ens = integrate_overdamped(config)
+    ens = integrate_overdamped(_langevin(t_end=0.1, n_trajectories=10**5, seed=77, store_every=10))
     final = ens.x[:, -1, 0]
     n = final.size
     var = final.var(ddof=1)
@@ -210,26 +210,8 @@ def criterion_8() -> CriterionResult:
     )
 
 
-def _velocity_benchmark_ensemble():
-    config = LangevinConfig(
-        n_particles=1,
-        mass=1.0,
-        friction=1.0,
-        temperatures=(1.0,),
-        potential=Potential.harmonic(1.0),
-        dt=1e-3,
-        t_end=0.12,
-        n_trajectories=120_000,
-        seed=7878,
-        x_init="stationary",
-        store_every=1,
-    )
-    return integrate_overdamped(config)
-
-
-def criterion_9(ensemble=None) -> CriterionResult:
-    """Osmotic velocity equals -T d/dx log density on the stationary bench."""
-    ens = _velocity_benchmark_ensemble() if ensemble is None else ensemble
+def criterion_9(ens) -> CriterionResult:
+    """Osmotic velocity equals -T d/dx log density on the stationary bench ``ens``."""
     eps = 4e-3
     edges = np.arange(-2.05, 2.0501, 0.1)
     vp, vm = coarse_velocities(ens, eps, edges)
@@ -258,9 +240,8 @@ def criterion_9(ensemble=None) -> CriterionResult:
     )
 
 
-def criterion_10(ensemble=None) -> CriterionResult:
-    """Velocity gap at x=1 stays above 1 (5 sigma) across the epsilon sweep."""
-    ens = _velocity_benchmark_ensemble() if ensemble is None else ensemble
+def criterion_10(ens) -> CriterionResult:
+    """Velocity gap at x=1 stays above 1 (5 sigma) across the epsilon sweep on ``ens``."""
     eps_list = [4e-3, 6e-3, 8e-3, 1e-2]
     rows = nonsmoothness_witness(ens, eps_list, bin_center=1.0)
     ok = all(row["gap"] - 5.0 * row["gap_err"] > 1.0 for row in rows)
@@ -270,19 +251,8 @@ def criterion_10(ensemble=None) -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     """Fine-resolution velocities equal p/m for the free underdamped particle."""
-    config = LangevinConfig(
-        n_particles=1,
-        mass=1.0,
-        friction=1.0,
-        temperatures=(1.0,),
-        potential=Potential.free(),
-        dt=2.5e-3,
-        t_end=0.25,
-        n_trajectories=50_000,
-        seed=4242,
-        x_init=0.0,
-        p_init="stationary",
-        store_every=1,
+    config = _langevin(
+        potential=Potential.free(), dt=2.5e-3, t_end=0.25, n_trajectories=50_000, seed=4242, x_init=0.0
     )
     ens = integrate_underdamped(config)
     res = momentum_resolution_check(ens, epsilon=1e-2, p_center=1.0)
@@ -364,20 +334,16 @@ def run_all(numbers=None) -> list[CriterionResult]:
 
     Criteria 9 and 10 share the expensive stationary-oscillator ensemble.
     """
-    selected = set(numbers) if numbers else set(range(1, 13))
+    selected = set(numbers or range(1, 13))
     shared = None
     if {9, 10} & selected:
-        shared = _velocity_benchmark_ensemble()
+        shared = integrate_overdamped(_langevin(t_end=0.12, n_trajectories=120_000, seed=7878))
     results = []
-    for func in _CRITERIA:
-        number = int(func.__name__.rsplit("_", 1)[1])
+    for number, func in enumerate(_CRITERIA, start=1):
         if number not in selected:
             continue
         start = time.perf_counter()
-        if number in (9, 10):
-            res = func(shared)
-        else:
-            res = func()
+        res = func(shared) if number in (9, 10) else func()
         res.seconds = time.perf_counter() - start
         results.append(res)
     return results

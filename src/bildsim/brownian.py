@@ -23,6 +23,11 @@ from .errors import NumericalError, RegimeError, ValidationError, check_memory
 
 DEFAULT_MIN_BIN_COUNT = 200
 
+# most particle-steps (steps x trajectories x particles) one integration may
+# take: hours at the ~2e7 per second of one core, while the largest test or
+# acceptance criterion needs about 1e8
+_MAX_PARTICLE_STEPS = 10**12
+
 # binned KDE of log_density_gradient: kernel cut in bandwidths, grid nodes
 # per bandwidth, most grid nodes, samples binned per pass
 _KDE_REACH = 40.0
@@ -33,7 +38,7 @@ _KDE_BLOCK = 2**16
 
 @dataclass(frozen=True)
 class Potential:
-    """Confining potential U(x) acting per particle.
+    """Confining potential U(x) acting per particle through its force -dU/dx.
 
     kinds: "free" (U = 0), "harmonic" (U = sum k_i x_i^2 / 2, spring constants
     per particle), "polynomial" (same 1-D polynomial in each coordinate,
@@ -72,17 +77,6 @@ class Potential:
             )
         return ks
 
-    def energy(self, x: np.ndarray) -> np.ndarray:
-        """U evaluated on positions of shape (..., n_particles)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "free":
-            return np.zeros(x.shape[:-1])
-        if self.kind == "harmonic":
-            k = self._springs(x.shape[-1])
-            return 0.5 * np.sum(k * x**2, axis=-1)
-        poly = np.polynomial.Polynomial(self.coefficients)
-        return np.sum(poly(x), axis=-1)
-
     def force(self, x: np.ndarray) -> np.ndarray:
         """-dU/dx_i, same shape as x."""
         x = np.asarray(x, dtype=float)
@@ -92,20 +86,6 @@ class Potential:
             return -self._springs(x.shape[-1]) * x
         deriv = np.polynomial.Polynomial(self.coefficients).deriv()
         return -deriv(x)
-
-    def validate_force(self, x: np.ndarray, h: float = 1e-5, rtol: float = 1e-6):
-        """Check the analytic force against central differences of U."""
-        x = np.asarray(x, dtype=float)
-        f = self.force(x)
-        for i in range(x.shape[-1]):
-            step = np.zeros_like(x)
-            step[..., i] = h
-            fd = -(self.energy(x + step) - self.energy(x - step)) / (2 * h)
-            scale = max(np.max(np.abs(f[..., i])), 1.0)
-            if np.max(np.abs(fd - f[..., i])) > rtol * scale:
-                raise ValidationError(
-                    f"force component {i} disagrees with finite-difference gradient"
-                )
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -154,6 +134,8 @@ class LangevinConfig:
     def __post_init__(self):
         temps = tuple(float(t) for t in np.atleast_1d(self.temperatures))
         if len(temps) == 1:
+            # one 8-byte reference per particle
+            check_memory(8 * self.n_particles, "the temperature tuple")
             temps = temps * self.n_particles
         if len(temps) != self.n_particles:
             raise ValidationError(
@@ -188,21 +170,7 @@ class LangevinConfig:
         return self.temps / self.gamma
 
     def to_dict(self) -> dict:
-        return {
-            "n_particles": self.n_particles,
-            "mass": self.mass,
-            "friction": self.friction,
-            "temperatures": list(self.temperatures),
-            "potential": self.potential.to_dict(),
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "n_trajectories": self.n_trajectories,
-            "seed": self.seed,
-            "paper_units": self.paper_units,
-            "store_every": self.store_every,
-            "x_init": self.x_init,
-            "p_init": self.p_init,
-        }
+        return dict(vars(self), potential=self.potential.to_dict())
 
     @classmethod
     def from_dict(cls, obj: dict) -> "LangevinConfig":
@@ -321,9 +289,9 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     initial positions, initial momenta (underdamped only), then one
     standard-normal array of shape x.shape per step. The state that carries
     the noise (p, or x when overdamped) is checked every 200 steps. Storage
-    larger than the machine's physical memory, or a step count t_end / dt
-    too large to be a number, is a ValidationError, raised before anything is
-    allocated.
+    larger than the machine's physical memory, a step count t_end / dt too
+    large to be a number, or more than 10^12 particle-steps is a
+    ValidationError, raised before anything is allocated.
     """
     steps = config.t_end / config.dt
     if not math.isfinite(steps):
@@ -333,6 +301,11 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     # xs, ps (underdamped) and times
     per_time = (1 + underdamped) * config.n_trajectories * config.n_particles + 1
     check_memory(8 * n_stored * per_time, "the stored ensemble")
+    if n_steps * config.n_trajectories * config.n_particles > _MAX_PARTICLE_STEPS:
+        raise ValidationError(
+            f"{n_steps} steps x {config.n_trajectories} trajectories x {config.n_particles} "
+            f"particles exceed the work ceiling of {_MAX_PARTICLE_STEPS:.0e} particle-steps"
+        )
     rng = np.random.Generator(np.random.Philox(np.uint64(config.seed)))
     x = _initial_positions(config, rng)
     p = _initial_momenta(config, rng) if underdamped else None

@@ -160,10 +160,6 @@ class OutcomeStream:
     seed: int
     strategy: dict
 
-    @property
-    def n(self) -> int:
-        return self.outcomes.shape[0]
-
 
 def hv_sample(strategy: HvStrategy, n: int, seed: int) -> OutcomeStream:
     """Evaluate all four responses on n independent lambda draws."""

@@ -163,7 +163,7 @@ def _run_pcsft_average(params: dict, seed: int, out: str, paper_units: bool) -> 
     n = params["n_samples"]
     exact = fields.exact_average(variable, measure)
     est = fields.mc_average(variable, measure, n, seed)
-    energy = fields.average_energy(measure)
+    energy = measure.energy
     coupling = fields.normalized_coupling_check(variable, measure)
     rows = [
         ["average", _fmt(exact), _fmt(est.mean), _fmt(est.std_error), n, seed],
@@ -297,6 +297,10 @@ def _run_brownian(params: dict, seed: int, out: str, paper_units: bool, underdam
 
 
 def _run_velocity_field(params: dict, seed: int, out: str, paper_units: bool) -> list[str]:
+    if not params["bin_min"] < params["bin_max"]:
+        raise ValidationError("params.bin_min must be below params.bin_max")
+    # about 1 KiB per bin at the peak (measured), most of it the rows of the two CSV files
+    check_memory(1024 * params["n_bins"], "the binned output")
     langevin = dict(params["langevin"], seed=seed, paper_units=paper_units)
     config = brownian.LangevinConfig.from_dict(langevin)
     ens = brownian.integrate_overdamped(config)

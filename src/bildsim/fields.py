@@ -2,9 +2,9 @@
 
 A field measure is identified by its covariance operator; quadratic variables
 are Hermitian-kernel forms f(phi) = <phi|A|phi>. The module provides exact
-(trace) and Monte Carlo averages, the covariance -> density-operator
-correspondence with its energy-scaled coupling, pair correlations via the
-circular-Gaussian fourth-moment formula, and the empirical covariance
+(trace) and Monte Carlo averages, the energy-scaled coupling check against
+the density operator of linalg.density_from_covariance, pair correlations via
+the circular-Gaussian fourth-moment formula, and the empirical covariance
 estimator.
 
 Sampling uses the counter-based Philox generator keyed by the user seed, with
@@ -107,33 +107,6 @@ def sample_fields(measure: FieldMeasure, n: int, seed: int) -> np.ndarray:
     return zc @ factor.T
 
 
-def quadratic_eval(variable: QuadraticVariable, phi: np.ndarray) -> float:
-    """Evaluate <phi|A|phi> for a single field sample."""
-    v = np.asarray(phi, dtype=complex)
-    if v.shape != (variable.dim,):
-        raise DimensionMismatchError(
-            f"field sample has shape {v.shape}, kernel dimension {variable.dim}"
-        )
-    val = v.conj() @ variable.kernel @ v
-    scale = np.linalg.norm(variable.kernel) * max(np.vdot(v, v).real, 1e-300)
-    if abs(val.imag) > 1e-10 * scale:
-        raise ValidationError(
-            f"quadratic form has imaginary residue {val.imag:.3e}"
-        )
-    return float(val.real)
-
-
-def field_energy(phi: np.ndarray) -> float:
-    """Squared norm of a field sample."""
-    v = np.asarray(phi, dtype=complex)
-    return float(np.vdot(v, v).real)
-
-
-def average_energy(measure: FieldMeasure) -> float:
-    """Average field energy, equal to the covariance trace."""
-    return measure.energy
-
-
 def exact_average(variable: QuadraticVariable, measure: FieldMeasure) -> float:
     """Exact measure average of a quadratic variable: Tr(A B)."""
     if variable.dim != measure.dim:
@@ -162,11 +135,6 @@ def mc_average(
     return MonteCarloEstimate(mean=mean, std_error=std_error, n_samples=n, seed=seed)
 
 
-def correspondence_state(measure: FieldMeasure) -> np.ndarray:
-    """Map a field measure to its quantum state: covariance over its trace."""
-    return linalg.density_from_covariance(measure.covariance)
-
-
 def normalized_coupling_check(
     variable: QuadraticVariable, measure: FieldMeasure
 ) -> CouplingCheck:
@@ -175,26 +143,12 @@ def normalized_coupling_check(
     lhs = exact average divided by average energy; rhs = trace pairing of the
     normalized state with the kernel. The gap vanishes analytically.
     """
-    energy = average_energy(measure)
+    energy = measure.energy
     if energy <= linalg.TRACE_EPS:
         raise DegenerateMeasureError("zero-energy measure; coupling undefined")
     lhs = exact_average(variable, measure) / energy
-    rhs = linalg.trace_product(correspondence_state(measure), variable.kernel)
+    rhs = linalg.trace_product(linalg.density_from_covariance(measure.covariance), variable.kernel)
     return CouplingCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
-
-
-def amplified_variable(
-    variable: QuadraticVariable, measure: FieldMeasure
-) -> QuadraticVariable:
-    """Rescale the kernel by the inverse average energy.
-
-    The exact average of the rescaled variable equals the quantum-state
-    pairing of the original kernel.
-    """
-    energy = average_energy(measure)
-    if energy <= linalg.TRACE_EPS:
-        raise DegenerateMeasureError("zero-energy measure; amplification undefined")
-    return QuadraticVariable(kernel=variable.kernel / energy)
 
 
 def exact_pair_correlation(

@@ -23,7 +23,6 @@ EIGENVALUE_FLOOR = -1e-10
 TRACE_EPS = 1e-14
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
@@ -60,14 +59,6 @@ def check_psd(m, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
         raise ValidationError(
             f"matrix is not positive semidefinite: min eigenvalue {w.min():.3e}"
         )
-    return a
-
-
-def check_covariance(m) -> np.ndarray:
-    """Validate a covariance operator: Hermitian, PSD, positive trace."""
-    a = check_psd(m)
-    if np.trace(a).real <= 0.0:
-        raise ValidationError("covariance operator must have positive trace")
     return a
 
 
@@ -118,8 +109,8 @@ def trace_product(a, b) -> float:
 
 
 def density_from_covariance(b) -> np.ndarray:
-    """Normalize a covariance operator by its trace to a density operator."""
-    bm = check_covariance(b)
+    """Normalize a covariance operator (Hermitian, PSD) by its trace to a density operator."""
+    bm = check_psd(b)
     tr = np.trace(bm).real
     if tr <= TRACE_EPS:
         raise DegenerateMeasureError(

@@ -1,5 +1,5 @@
 """Run output plumbing: atomic file writes, deterministic serialization,
-trajectory files, and run manifests.
+trajectory files of a brownian.TrajectoryEnsemble, and run manifests.
 
 All numeric outputs depend only on (config, seed); the manifest additionally
 records wall-clock time and is therefore written last and excluded from
@@ -16,7 +16,6 @@ import tempfile
 
 import numpy as np
 
-from .brownian import TrajectoryEnsemble
 from .errors import ValidationError
 
 TRAJECTORY_SCHEMA_VERSION = 1
@@ -77,7 +76,7 @@ def write_manifest(
     write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
-def save_trajectories(path: str, ensemble: TrajectoryEnsemble) -> None:
+def save_trajectories(path: str, ensemble) -> None:
     """Binary columnar file: one JSON header line, then raw float64 blocks.
 
     Blocks are little-endian, in the order listed in the header; array shapes
@@ -137,7 +136,7 @@ def load_trajectories(path: str) -> dict:
     return out
 
 
-def trajectories_to_csv_rows(ensemble: TrajectoryEnsemble):
+def trajectories_to_csv_rows(ensemble):
     """Long-format rows (trajectory, time, particle, x[, p]) for small runs."""
     has_p = ensemble.p is not None
     for traj in range(ensemble.x.shape[0]):

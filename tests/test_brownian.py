@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bildsim import runio
 from bildsim.brownian import (
     LangevinConfig,
     Potential,
@@ -40,6 +42,15 @@ def harmonic_config(**overrides):
     return LangevinConfig(**base)
 
 
+def closed_form_energy(pot, x):
+    """U summed over the particles of each row of x, written out per kind."""
+    if pot.kind == "free":
+        return np.zeros(x.shape[0])
+    if pot.kind == "harmonic":
+        return 0.5 * np.sum(np.asarray(pot.spring_constants) * x**2, axis=1)
+    return np.sum(sum(c * x**j for j, c in enumerate(pot.coefficients)), axis=1)
+
+
 class TestPotential:
     @pytest.mark.parametrize(
         "pot",
@@ -56,12 +67,18 @@ class TestPotential:
         if pot.kind == "harmonic" and len(pot.spring_constants) == 1:
             n = 1
         x = rng.uniform(-2, 2, size=(50, n))
-        pot.validate_force(x)
+        f = pot.force(x)
+        h = 1e-5
+        for i in range(n):
+            step = np.zeros_like(x)
+            step[:, i] = h
+            fd = -(closed_form_energy(pot, x + step) - closed_form_energy(pot, x - step)) / (2 * h)
+            assert np.max(np.abs(fd - f[:, i])) <= 1e-6 * max(np.max(np.abs(f[:, i])), 1.0)
 
     def test_harmonic_values(self):
         pot = Potential.harmonic(2.0)
         x = np.array([[1.5]])
-        assert pot.energy(x)[0] == pytest.approx(2.25)
+        assert closed_form_energy(pot, x)[0] == pytest.approx(2.25)
         assert pot.force(x)[0, 0] == pytest.approx(-3.0)
 
     def test_invalid_spring_constant(self):
@@ -71,6 +88,51 @@ class TestPotential:
     def test_round_trip_dict(self):
         pot = Potential.polynomial([0.0, 0.0, 0.5])
         assert Potential.from_dict(pot.to_dict()) == pot
+
+
+class TestConfigDict:
+    # config_hash(to_dict()) is written into trajectories.bin, so these
+    # digests must not change
+    @pytest.mark.parametrize(
+        "overrides,digest",
+        [
+            (
+                dict(
+                    n_particles=3,
+                    friction=2.0,
+                    temperatures=(1.5,),
+                    potential=Potential.harmonic([1.0, 2.0, 3.0]),
+                    t_end=0.1,
+                    n_trajectories=10,
+                    seed=5,
+                    store_every=2,
+                ),
+                "4c4936dd86d068de8cff524173edaf9fd54bbc7d63a0d9445224a4c0374214f6",
+            ),
+            (
+                dict(
+                    mass=2.0,
+                    friction=0.5,
+                    temperatures=(0.7,),
+                    potential=Potential.polynomial([0, 0, 0.5, 0, 0.25]),
+                    dt=2e-3,
+                    t_end=1,
+                    n_trajectories=4,
+                    seed=9,
+                    paper_units=True,
+                    store_every=1,
+                    x_init=0.5,
+                    p_init=0.0,
+                ),
+                "4b99cff763b500544b2f8c368eb9b39cf981ff611d6bbfae73ed4f37367ba2dc",
+            ),
+        ],
+        ids=["multi-particle", "polynomial"],
+    )
+    def test_config_hash_pinned(self, overrides, digest):
+        config = harmonic_config(**overrides)
+        assert list(config.to_dict()) == [f.name for f in dataclasses.fields(LangevinConfig)]
+        assert runio.config_hash(config.to_dict()) == digest
 
 
 class TestTimescaleReport:

@@ -440,8 +440,10 @@ class TestResourceAndBlowUpErrors:
             },
             {"command": "chsh-hv", "params": {"strategy": {"kind": "sphere_sign"}, "n": 10**15}},
             {"command": "chsh-quantum", "params": {"angles": ANGLES, "sweep_points": 10**15}},
+            langevin_with(n_particles=10**12),
+            {"command": "velocity-field", "params": dict(VELOCITY, n_bins=10**12)},
         ],
-        ids=["samples", "records", "sweep"],
+        ids=["samples", "records", "sweep", "particles", "bins"],
     )
     def test_counts_beyond_physical_memory_exit_2(self, tmp_path, config):
         rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
@@ -451,6 +453,18 @@ class TestResourceAndBlowUpErrors:
         config_path = write_config(tmp_path, langevin_with(dt=1e-300, t_end=1e300))
         rc, lines = run_main(["--config", config_path, "--out", str(tmp_path / "o")])
         assert "step count" in assert_one_error_line(rc, lines, 2)
+
+    def test_work_beyond_ceiling_exits_2(self, tmp_path):
+        # one stored time slice, so only the step count is out of range
+        config = langevin_with(t_end=1e12, dt=1e-3, n_trajectories=1, store_every=10**18)
+        rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
+        assert "work ceiling" in assert_one_error_line(rc, lines, 2)
+
+    @pytest.mark.parametrize("bin_min", [2.0, 3.0], ids=["equal", "reversed"])
+    def test_empty_bin_range_exits_2(self, tmp_path, bin_min):
+        config = {"command": "velocity-field", "params": dict(VELOCITY, bin_min=bin_min, bin_max=2.0)}
+        rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
+        assert "params.bin_min" in assert_one_error_line(rc, lines, 2)
 
     def test_blow_up_warnings_go_inside_the_json_line(self, tmp_path):
         # a child interpreter: pytest captures warnings, so only a real
