@@ -124,7 +124,7 @@ def criterion_5() -> CriterionResult:
     """Singlet CHSH value and grid maximum respect the quantum bound."""
     target = 2.0 * np.sqrt(2.0)
     s_opt = abs(chsh.chsh_value(chsh.singlet_state(), chsh.ChshAngles(*chsh.OPTIMAL_ANGLES)))
-    grid_max, _ = chsh.chsh_grid_max(chsh.singlet_state(), 61)
+    grid_max, _ = chsh.chsh_grid_max(chsh.singlet_state())
     passed = abs(s_opt - target) < 1e-10 and grid_max <= target + 1e-9
     return _result(
         5,

@@ -67,23 +67,13 @@ class Potential:
             raise ValidationError("polynomial potential needs coefficients")
         return cls(kind="polynomial", coefficients=cs)
 
-    def _springs(self, n_particles: int) -> np.ndarray:
-        ks = np.asarray(self.spring_constants, dtype=float)
-        if ks.size == 1:
-            return np.full(n_particles, ks[0])
-        if ks.size != n_particles:
-            raise ValidationError(
-                f"{ks.size} spring constants for {n_particles} particles"
-            )
-        return ks
-
     def force(self, x: np.ndarray) -> np.ndarray:
-        """-dU/dx_i, same shape as x."""
+        """-dU/dx_i, same shape as x; a single spring constant acts on every particle."""
         x = np.asarray(x, dtype=float)
         if self.kind == "free":
             return np.zeros_like(x)
         if self.kind == "harmonic":
-            return -self._springs(x.shape[-1]) * x
+            return -np.asarray(self.spring_constants) * x
         deriv = np.polynomial.Polynomial(self.coefficients).deriv()
         return -deriv(x)
 
@@ -114,7 +104,8 @@ class LangevinConfig:
     ``x_init`` / ``p_init`` are either a number (all trajectories start
     there) or "stationary" (draw from the equilibrium law; positions require
     a harmonic potential, momenta are N(0, m T)). ``store_every`` thins the
-    stored time grid; the integration step is always ``dt``.
+    stored time grid; the integration step is always ``dt``. A harmonic
+    potential has one spring constant for all particles or one per particle.
     """
 
     n_particles: int
@@ -151,6 +142,15 @@ class LangevinConfig:
             raise ValidationError("n_particles and n_trajectories must be >= 1")
         if self.store_every < 1:
             raise ValidationError("store_every must be >= 1")
+        n_springs = len(self.potential.spring_constants)
+        if self.potential.kind == "harmonic" and n_springs not in (1, self.n_particles):
+            raise ValidationError(f"{n_springs} spring constants for {self.n_particles} particles")
+        for name in ("x_init", "p_init"):
+            start = getattr(self, name)
+            if isinstance(start, str) and start != "stationary":
+                raise ValidationError(f"unknown {name} {start!r}")
+        if self.x_init == "stationary" and self.potential.kind != "harmonic":
+            raise ValidationError("stationary position start requires a harmonic potential")
 
     @property
     def gamma(self) -> float:
@@ -215,18 +215,15 @@ def timescale_report(config: LangevinConfig) -> TimescaleReport:
     free, and estimated from the position autocorrelation decay otherwise.
     Overdamped means tau_x >= 100 tau_p.
     """
-    tau_p = config.tau_p
-    estimated = False
-    if config.potential.kind == "free":
+    kind = config.potential.kind
+    if kind == "free":
         tau_x = math.inf
-    elif config.potential.kind == "harmonic":
-        ks = config.potential._springs(config.n_particles)
-        tau_x = float(config.gamma / ks.max())
+    elif kind == "harmonic":
+        tau_x = config.gamma / max(config.potential.spring_constants)
     else:
         tau_x = _estimate_tau_x(config)
-        estimated = True
-    overdamped = tau_x >= 100.0 * tau_p
-    return TimescaleReport(tau_p, tau_x, overdamped, estimated)
+    overdamped = tau_x >= 100.0 * config.tau_p
+    return TimescaleReport(config.tau_p, tau_x, overdamped, kind == "polynomial")
 
 
 def _estimate_tau_x(config: LangevinConfig) -> float:
@@ -248,29 +245,13 @@ def _estimate_tau_x(config: LangevinConfig) -> float:
     return math.inf
 
 
-def _initial_positions(config: LangevinConfig, rng) -> np.ndarray:
-    shape = (config.n_trajectories, config.n_particles)
-    if isinstance(config.x_init, str):
-        if config.x_init != "stationary":
-            raise ValidationError(f"unknown x_init {config.x_init!r}")
-        if config.potential.kind != "harmonic":
-            raise ValidationError(
-                "stationary position start requires a harmonic potential"
-            )
-        ks = config.potential._springs(config.n_particles)
-        std = np.sqrt(config.temps / ks)
-        return rng.standard_normal(shape) * std
-    return np.full(shape, float(config.x_init))
-
-
-def _initial_momenta(config: LangevinConfig, rng) -> np.ndarray:
-    shape = (config.n_trajectories, config.n_particles)
-    if isinstance(config.p_init, str):
-        if config.p_init != "stationary":
-            raise ValidationError(f"unknown p_init {config.p_init!r}")
-        std = np.sqrt(config.mass * config.temps)
-        return rng.standard_normal(shape) * std
-    return np.full(shape, float(config.p_init))
+def _initial_state(start, stationary_variance, shape: tuple, rng) -> np.ndarray:
+    """Start values of one coordinate: ``start`` everywhere, or, for
+    "stationary", normal draws with the per-particle variance that
+    ``stationary_variance()`` returns."""
+    if start == "stationary":
+        return rng.standard_normal(shape) * np.sqrt(stationary_variance())
+    return np.full(shape, float(start))
 
 
 def _check_finite(arr: np.ndarray, step: int, dt: float):
@@ -307,8 +288,12 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
             f"particles exceed the work ceiling of {_MAX_PARTICLE_STEPS:.0e} particle-steps"
         )
     rng = np.random.Generator(np.random.Philox(np.uint64(config.seed)))
-    x = _initial_positions(config, rng)
-    p = _initial_momenta(config, rng) if underdamped else None
+    # equilibrium variances: T/k in the harmonic well (LangevinConfig requires
+    # it for a stationary position start), m T for the momenta
+    shape = (config.n_trajectories, config.n_particles)
+    springs = np.asarray(config.potential.spring_constants)
+    x = _initial_state(config.x_init, lambda: config.temps / springs, shape, rng)
+    p = _initial_state(config.p_init, lambda: config.mass * config.temps, shape, rng) if underdamped else None
     xs = np.empty((config.n_trajectories, n_stored, config.n_particles))
     ps = np.empty_like(xs) if underdamped else None
     times = np.empty(n_stored)
@@ -351,8 +336,7 @@ def integrate_overdamped(config: LangevinConfig) -> TrajectoryEnsemble:
     """Euler-Maruyama for dx = (F/gamma) dt + sqrt(2 T/gamma) dW."""
     gamma, dt = config.gamma, config.dt
     if config.potential.kind == "harmonic":
-        tau_x = gamma / config.potential._springs(config.n_particles).max()
-        bound = 1e-3 * tau_x
+        bound = 1e-3 * timescale_report(config).tau_x
         if dt > bound:
             raise RegimeError(f"dt={dt:.3g} exceeds overdamped step bound {bound:.3g}")
     noise_amp = np.sqrt(2.0 * config.diffusion_coefficients() * dt)
@@ -416,9 +400,8 @@ def _binned_velocity(
     errs = np.full(n_bins, np.nan)
     ok = counts >= min_count
     values[ok] = sums[ok] / counts[ok]
-    var = np.zeros(n_bins)
-    var[ok] = np.maximum(sq[ok] / counts[ok] - values[ok] ** 2, 0.0)
-    errs[ok] = np.sqrt(var[ok] / counts[ok])
+    var = np.maximum(sq[ok] / counts[ok] - values[ok] ** 2, 0.0)
+    errs[ok] = np.sqrt(var / counts[ok])
     centers = 0.5 * (edges[:-1] + edges[1:])
     return VelocityFieldEstimate(
         bin_centers=centers,
@@ -451,11 +434,10 @@ def coarse_velocities(
     ensemble: TrajectoryEnsemble,
     epsilon: float,
     bin_edges,
-    particle: int = 0,
     min_count: int = DEFAULT_MIN_BIN_COUNT,
     t_index: int | None = None,
 ) -> tuple[VelocityFieldEstimate, VelocityFieldEstimate]:
-    """Forward and backward velocities (v_plus, v_minus) on common bins.
+    """Forward and backward velocities (v_plus, v_minus) of particle 0 on common bins.
 
     v_plus is the mean of (x(t+eps) - x(t))/eps given x(t) in each bin,
     v_minus the mean of (x(t) - x(t-eps))/eps given x(t). By default all
@@ -467,7 +449,7 @@ def coarse_velocities(
     each side of it.
     """
     k = _epsilon_steps(ensemble, epsilon)
-    x = ensemble.x[:, :, particle]
+    x = ensemble.x[:, :, 0]
     if t_index is None:
         starts = np.arange(0, ensemble.n_times - k, k)
         ends = starts + k
@@ -503,23 +485,16 @@ def osmotic_velocity(
     )
 
 
-def nonsmoothness_witness(
-    ensemble: TrajectoryEnsemble,
-    epsilons,
-    bin_center: float,
-    bin_width: float = 0.1,
-    particle: int = 0,
-    min_count: int = DEFAULT_MIN_BIN_COUNT,
-) -> list[dict]:
-    """Gap |v_plus - v_minus| at one bin for a sweep of time increments.
+def nonsmoothness_witness(ensemble: TrajectoryEnsemble, epsilons, bin_center: float) -> list[dict]:
+    """Gap |v_plus - v_minus| in the bin bin_center +- 0.05 for a sweep of time increments.
 
     For non-smooth diffusive trajectories the gap stays bounded away from
     zero as epsilon shrinks toward the resolution limit.
     """
-    edges = np.array([bin_center - bin_width / 2, bin_center + bin_width / 2])
+    edges = np.array([bin_center - 0.05, bin_center + 0.05])
     rows = []
     for eps in epsilons:
-        vp, vm = coarse_velocities(ensemble, eps, edges, particle, min_count)
+        vp, vm = coarse_velocities(ensemble, eps, edges)
         gap = abs(vm.values[0] - vp.values[0])
         gap_err = float(np.hypot(vp.std_errors[0], vm.std_errors[0]))
         rows.append(
@@ -543,14 +518,10 @@ class MomentumResolutionResult(NamedTuple):
 
 
 def momentum_resolution_check(
-    ensemble: TrajectoryEnsemble,
-    epsilon: float,
-    p_center: float,
-    p_width: float = 0.1,
-    particle: int = 0,
+    ensemble: TrajectoryEnsemble, epsilon: float, p_center: float
 ) -> MomentumResolutionResult:
     """At time increments well below tau_p both directional velocities
-    collapse to the instantaneous p/m of the momentum bin."""
+    collapse to the instantaneous p/m of the momentum bin p_center +- 0.05."""
     if ensemble.p is None:
         raise ValidationError("momentum resolution check needs an underdamped ensemble")
     tau_p = ensemble.config.tau_p
@@ -560,18 +531,16 @@ def momentum_resolution_check(
             "resolution only coarse-grained velocities are defined"
         )
     k = _epsilon_steps(ensemble, epsilon)
-    x = ensemble.x[:, :, particle]
-    p = ensemble.p[:, :, particle]
+    x = ensemble.x[:, :, 0]
+    p = ensemble.p[:, :, 0]
     anchors = np.arange(k, ensemble.n_times - k, k)
     p_mid = p[:, anchors].ravel()
     fwd = (x[:, anchors + k] - x[:, anchors]).ravel() / epsilon
     bwd = (x[:, anchors] - x[:, anchors - k]).ravel() / epsilon
-    in_bin = np.abs(p_mid - p_center) <= p_width / 2
-    if in_bin.sum() < DEFAULT_MIN_BIN_COUNT:
-        raise ValidationError(
-            f"only {int(in_bin.sum())} samples in the momentum bin"
-        )
-    nf = in_bin.sum()
+    in_bin = np.abs(p_mid - p_center) <= 0.05
+    nf = int(in_bin.sum())
+    if nf < DEFAULT_MIN_BIN_COUNT:
+        raise ValidationError(f"only {nf} samples in the momentum bin")
     vf, vb = fwd[in_bin], bwd[in_bin]
     return MomentumResolutionResult(
         v_plus=float(vf.mean()),
@@ -641,14 +610,11 @@ def log_density_gradient(
         return num / (h * h * den)
 
 
-def fokker_planck_residual(
-    ensemble: TrajectoryEnsemble,
-    n_bins: int = 81,
-    x_range: tuple | None = None,
-    smooth_sigma: float = 2.0,
-) -> float:
+def fokker_planck_residual(ensemble: TrajectoryEnsemble) -> float:
     """Normalized residual of the overdamped transport equation on smoothed
-    histogram densities.
+    histogram densities: 81 bins over the 0.5-99.5 percentile range of x,
+    each time's histogram smoothed by a Gaussian of standard deviation two
+    bins.
 
     Requires a single-particle overdamped ensemble with at least 1e5
     trajectories; the residual dP/dt + d_x(f P) - D d2_x P is evaluated on
@@ -664,17 +630,15 @@ def fokker_planck_residual(
             f"insufficient samples: {ensemble.x.shape[0]} trajectories, need 1e5"
         )
     x = ensemble.x[:, :, 0]
-    if x_range is None:
-        lo, hi = np.percentile(x, [0.5, 99.5])
-    else:
-        lo, hi = x_range
+    lo, hi = np.percentile(x, [0.5, 99.5])
+    n_bins = 81
     edges = np.linspace(lo, hi, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     dx = centers[1] - centers[0]
     density = np.empty((ensemble.n_times, n_bins))
     for t in range(ensemble.n_times):
         hist, _ = np.histogram(x[:, t], bins=edges, density=True)
-        density[t] = gaussian_filter1d(hist, smooth_sigma)
+        density[t] = gaussian_filter1d(hist, 2.0)
     dpdt = np.gradient(density, ensemble.dt_store, axis=0)
     drift = ensemble.config.potential.force(centers[:, None])[:, 0] / ensemble.config.gamma
     flux = drift[None, :] * density

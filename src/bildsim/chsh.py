@@ -83,13 +83,13 @@ def chsh_value(rho: np.ndarray, angles: ChshAngles) -> float | np.ndarray:
     return s
 
 
-def chsh_grid_max(rho: np.ndarray, n_angles: int = 61) -> tuple[float, ChshAngles]:
-    """Maximum |S| over a uniform angle grid, with the attaining settings.
+def chsh_grid_max(rho: np.ndarray) -> tuple[float, ChshAngles]:
+    """Maximum |S| over 61 uniform angles in [-pi, pi], with the attaining settings.
 
     S is broadcast over a 4-D grid with one axis per angle (a1, a2, b1, b2);
     each correlation it sums varies along two of the axes only.
     """
-    t = np.linspace(-np.pi, np.pi, n_angles)
+    t = np.linspace(-np.pi, np.pi, 61)
     s = chsh_value(rho, ChshAngles(t[:, None, None, None], t[None, :, None, None], t[:, None], t))
     np.abs(s, out=s)
     i1, i2, j1, j2 = np.unravel_index(np.argmax(s), s.shape)
@@ -104,20 +104,15 @@ def compatibility_audit(angles: ChshAngles) -> dict:
     combination degenerates and cannot exceed the classical bound.
     """
     eye = np.eye(2, dtype=complex)
-    a1 = linalg.tensor_product(observable_from_angle(angles.a1), eye)
-    a2 = linalg.tensor_product(observable_from_angle(angles.a2), eye)
-    b1 = linalg.tensor_product(eye, observable_from_angle(angles.b1))
-    b2 = linalg.tensor_product(eye, observable_from_angle(angles.b2))
-    cross = {
-        "A1B1": linalg.commutator_norm(a1, b1),
-        "A1B2": linalg.commutator_norm(a1, b2),
-        "A2B1": linalg.commutator_norm(a2, b1),
-        "A2B2": linalg.commutator_norm(a2, b2),
+    ops = {
+        "A1": linalg.tensor_product(observable_from_angle(angles.a1), eye),
+        "A2": linalg.tensor_product(observable_from_angle(angles.a2), eye),
+        "B1": linalg.tensor_product(eye, observable_from_angle(angles.b1)),
+        "B2": linalg.tensor_product(eye, observable_from_angle(angles.b2)),
     }
-    local = {
-        "A1A2": linalg.commutator_norm(a1, a2),
-        "B1B2": linalg.commutator_norm(b1, b2),
-    }
+    norms = {pair: linalg.commutator_norm(ops[pair[:2]], ops[pair[2:]]) for pair in PAIR_NAMES}
+    cross = {pair: norms[pair] for pair in PAIR_NAMES[:4]}
+    local = {pair: norms[pair] for pair in PAIR_NAMES[4:]}
     degenerate = min(local.values()) <= 1e-12
     return {"cross": cross, "local": local, "degenerate": degenerate}
 
@@ -165,20 +160,18 @@ def hv_sample(strategy: HvStrategy, n: int, seed: int) -> OutcomeStream:
     """Evaluate all four responses on n independent lambda draws."""
     if n < 1:
         raise ValidationError("need at least one record")
-    # the outcomes are int8; sphere_sign also draws three float64 per record
-    check_memory(n * (4 if strategy.kind == "constant" else 4 + 24), "the outcome stream")
+    # bytes per record: the four int8 outcomes; sphere_sign also allocates
+    # lambda (3 float64), its four projections (4 float64) and their sign mask
+    # (4 bool), and peaks at 60 of these 64 (tracemalloc, n = 4e6)
+    check_memory(n * (4 if strategy.kind == "constant" else 4 + 24 + 32 + 4), "the outcome stream")
     if strategy.kind == "constant":
         out = np.tile(np.array(strategy.constants, dtype=np.int8), (n, 1))
         return OutcomeStream(outcomes=out, seed=seed, strategy=strategy.describe())
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     lam = rng.standard_normal((n, 3))
-    lam /= np.linalg.norm(lam, axis=1, keepdims=True)
-    out = np.empty((n, 4), dtype=np.int8)
-    thetas = strategy.angles.as_tuple()
-    for col, theta in enumerate(thetas):
-        direction = np.array([np.sin(theta), 0.0, np.cos(theta)])
-        proj = lam @ direction
-        out[:, col] = np.where(proj >= 0.0, 1, -1)
+    # sign(lambda . n) does not depend on |lambda|, so lambda is not normalised
+    directions = np.array([[np.sin(t), 0.0, np.cos(t)] for t in strategy.angles.as_tuple()]).T
+    out = np.where(lam @ directions >= 0.0, np.int8(1), np.int8(-1))
     return OutcomeStream(outcomes=out, seed=seed, strategy=strategy.describe())
 
 

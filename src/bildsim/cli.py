@@ -279,20 +279,12 @@ def _write_trajectories(out: str, ens: brownian.TrajectoryEnsemble) -> list[str]
 def _run_brownian(params: dict, seed: int, out: str, paper_units: bool, underdamped: bool) -> list[str]:
     config = brownian.LangevinConfig.from_dict(dict(params, seed=seed, paper_units=paper_units))
     report = brownian.timescale_report(config)
-    if underdamped:
-        ens = brownian.integrate_underdamped(config)
-    else:
-        ens = brownian.integrate_overdamped(config)
+    integrate = brownian.integrate_underdamped if underdamped else brownian.integrate_overdamped
+    ens = integrate(config)
     outputs = _write_trajectories(out, ens)
-    runio.write_json(
-        os.path.join(out, "timescales.json"),
-        {
-            "tau_p": report.tau_p,
-            "tau_x": None if report.tau_x == float("inf") else report.tau_x,
-            "overdamped": report.overdamped,
-            "tau_x_estimated": report.tau_x_estimated,
-        },
-    )
+    # JSON has no infinity: a free particle's tau_x is written as null
+    tau_x = None if math.isinf(report.tau_x) else report.tau_x
+    runio.write_json(os.path.join(out, "timescales.json"), dict(report._asdict(), tau_x=tau_x))
     return outputs + ["timescales.json"]
 
 
@@ -438,7 +430,8 @@ _VELOCITY = {
     "bin_min": (_number, _REQUIRED),
     "bin_max": (_number, _REQUIRED),
     "n_bins": (_integer(1), _REQUIRED),
-    "min_count": (_integer(), brownian.DEFAULT_MIN_BIN_COUNT),
+    # a standard error needs two samples in a bin
+    "min_count": (_integer(2), brownian.DEFAULT_MIN_BIN_COUNT),
 }
 
 # command -> (runner, parameter spec); a runner takes (params, seed, out, paper_units)
@@ -477,19 +470,21 @@ def validate_config(config: dict) -> dict:
 
 def run_experiment(
     config: dict,
-    out_dir: str,
+    out_dir: str | None,
     threads: int = 1,
     seed_override: int | None = None,
     paper_units_override: bool | None = None,
 ) -> list[str]:
     """Validate and execute one experiment config; returns output file names.
 
+    Outputs go to ``out_dir``, else the config's ``out``, else ".".
     ``threads`` is validated (it must be >= 1) and otherwise unused; all
     estimators reduce in a fixed order, so results do not depend on it.
     """
     if threads < 1:
         raise ValidationError("field 'threads' must be >= 1")
     parsed = validate_config(config)
+    out_dir = out_dir or parsed["out"] or "."
     seed = parsed["seed"] if seed_override is None else _SEED(seed_override, "seed")
     paper_units = parsed["paper_units"] if paper_units_override is None else paper_units_override
     try:
@@ -543,7 +538,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             run_experiment(
                 config,
-                args.out or validate_config(config)["out"] or ".",
+                args.out,
                 threads=args.threads,
                 seed_override=args.seed,
                 paper_units_override=args.paper_units,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateMeasureError, DimensionMismatchError, ValidationError, check_memory
+from .errors import DimensionMismatchError, ValidationError, check_memory
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,11 @@ class CouplingCheck(NamedTuple):
 def _covariance_factor(cov: np.ndarray) -> np.ndarray:
     """Factor L with L L* = B via spectral decomposition.
 
-    Negative eigenvalues within the PSD floor are clamped to zero so that
-    rank-deficient and empirically estimated covariances factor robustly.
+    FieldMeasure has checked B against the PSD floor; the negative
+    eigenvalues within it are clamped to zero so that rank-deficient and
+    empirically estimated covariances factor robustly.
     """
     w, v = linalg.spectral_decomposition(cov)
-    if w.min() < linalg.EIGENVALUE_FLOOR:
-        raise ValidationError(
-            f"covariance is indefinite (min eigenvalue {w.min():.3e}); "
-            "cannot factor for sampling"
-        )
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -107,12 +103,17 @@ def sample_fields(measure: FieldMeasure, n: int, seed: int) -> np.ndarray:
     return zc @ factor.T
 
 
+def _check_dims(measure: FieldMeasure, *variables: QuadraticVariable) -> None:
+    for variable in variables:
+        if variable.dim != measure.dim:
+            raise DimensionMismatchError(
+                f"kernel dimension {variable.dim} vs measure dimension {measure.dim}"
+            )
+
+
 def exact_average(variable: QuadraticVariable, measure: FieldMeasure) -> float:
     """Exact measure average of a quadratic variable: Tr(A B)."""
-    if variable.dim != measure.dim:
-        raise DimensionMismatchError(
-            f"kernel dimension {variable.dim} vs measure dimension {measure.dim}"
-        )
+    _check_dims(measure, variable)
     return linalg.trace_product(variable.kernel, measure.covariance)
 
 
@@ -122,17 +123,27 @@ def _evaluate_batch(variable: QuadraticVariable, samples: np.ndarray) -> np.ndar
     ).real
 
 
+def _monte_carlo(variables, measure: FieldMeasure, n: int, seed: int) -> MonteCarloEstimate:
+    """Mean and standard error of the product of ``variables`` over n samples."""
+    if n < 2:
+        raise ValidationError("Monte Carlo estimate needs n >= 2")
+    samples = sample_fields(measure, n, seed)
+    vals = _evaluate_batch(variables[0], samples)
+    for variable in variables[1:]:
+        vals = vals * _evaluate_batch(variable, samples)
+    return MonteCarloEstimate(
+        mean=float(vals.mean()),
+        std_error=float(vals.std(ddof=1) / np.sqrt(n)),
+        n_samples=n,
+        seed=seed,
+    )
+
+
 def mc_average(
     variable: QuadraticVariable, measure: FieldMeasure, n: int, seed: int
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of the measure average of a quadratic variable."""
-    if n < 2:
-        raise ValidationError("Monte Carlo estimate needs n >= 2")
-    samples = sample_fields(measure, n, seed)
-    vals = _evaluate_batch(variable, samples)
-    mean = float(vals.mean())
-    std_error = float(vals.std(ddof=1) / np.sqrt(n))
-    return MonteCarloEstimate(mean=mean, std_error=std_error, n_samples=n, seed=seed)
+    return _monte_carlo([variable], measure, n, seed)
 
 
 def normalized_coupling_check(
@@ -143,11 +154,10 @@ def normalized_coupling_check(
     lhs = exact average divided by average energy; rhs = trace pairing of the
     normalized state with the kernel. The gap vanishes analytically.
     """
-    energy = measure.energy
-    if energy <= linalg.TRACE_EPS:
-        raise DegenerateMeasureError("zero-energy measure; coupling undefined")
-    lhs = exact_average(variable, measure) / energy
-    rhs = linalg.trace_product(linalg.density_from_covariance(measure.covariance), variable.kernel)
+    # raises DegenerateMeasureError for a zero-energy (zero-trace) measure
+    state = linalg.density_from_covariance(measure.covariance)
+    lhs = exact_average(variable, measure) / measure.energy
+    rhs = linalg.trace_product(state, variable.kernel)
     return CouplingCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 
@@ -160,14 +170,7 @@ def exact_pair_correlation(
     Tr(A B) Tr(G B) + Tr(A B G B). Validated against brute-force Monte Carlo
     in the test suite before use.
     """
-    if v.dim != w.dim:
-        raise DimensionMismatchError(
-            f"kernel dimensions differ: {v.dim} vs {w.dim}"
-        )
-    if v.dim != measure.dim:
-        raise DimensionMismatchError(
-            f"kernel dimension {v.dim} vs measure dimension {measure.dim}"
-        )
+    _check_dims(measure, v, w)
     a, g, b = v.kernel, w.kernel, measure.covariance
     term = np.trace(a @ b).real * np.trace(g @ b).real
     cross = np.trace(a @ b @ g @ b).real
@@ -178,16 +181,7 @@ def mc_pair_correlation(
     v: QuadraticVariable, w: QuadraticVariable, measure: FieldMeasure, n: int, seed: int
 ) -> MonteCarloEstimate:
     """Brute-force Monte Carlo estimate of E[f g]; oracle for the closed form."""
-    if n < 2:
-        raise ValidationError("Monte Carlo estimate needs n >= 2")
-    samples = sample_fields(measure, n, seed)
-    vals = _evaluate_batch(v, samples) * _evaluate_batch(w, samples)
-    return MonteCarloEstimate(
-        mean=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / np.sqrt(n)),
-        n_samples=n,
-        seed=seed,
-    )
+    return _monte_carlo([v, w], measure, n, seed)
 
 
 def empirical_covariance(samples: np.ndarray) -> np.ndarray:

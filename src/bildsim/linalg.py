@@ -38,24 +38,24 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def check_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Validate Hermiticity entrywise; name the worst offending entry on failure."""
+def check_hermitian(m) -> np.ndarray:
+    """Validate Hermiticity entrywise to HERMITIAN_TOL; name the worst offending entry on failure."""
     a = as_complex_matrix(m)
     dev = np.abs(a - a.conj().T)
-    if dev.max() > tol:
+    if dev.max() > HERMITIAN_TOL:
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
         raise ValidationError(
             f"matrix is not Hermitian: entry ({i},{j}) deviates from its "
-            f"conjugate transpose by {dev[i, j]:.3e} (tol {tol:.1e})"
+            f"conjugate transpose by {dev[i, j]:.3e} (tol {HERMITIAN_TOL:.1e})"
         )
     return a
 
 
-def check_psd(m, floor: float = EIGENVALUE_FLOOR) -> np.ndarray:
-    """Validate Hermiticity and eigenvalue floor."""
+def check_psd(m) -> np.ndarray:
+    """Validate Hermiticity and the eigenvalue floor EIGENVALUE_FLOOR."""
     a = check_hermitian(m)
     w = np.linalg.eigvalsh(a)
-    if w.min() < floor:
+    if w.min() < EIGENVALUE_FLOOR:
         raise ValidationError(
             f"matrix is not positive semidefinite: min eigenvalue {w.min():.3e}"
         )

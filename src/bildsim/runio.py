@@ -6,6 +6,7 @@ records wall-clock time and is therefore written last and excluded from
 byte-level reproducibility comparisons.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -21,19 +22,27 @@ from .errors import ValidationError
 TRAJECTORY_SCHEMA_VERSION = 1
 
 
-def write_atomic(path: str, data: bytes) -> None:
-    """Write via a temporary file in the same directory, then rename."""
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """Binary handle on a temporary file in the directory of ``path``, renamed
+    to ``path`` when the block completes and removed when it raises."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path: str, data: bytes) -> None:
+    """Write via a temporary file in the same directory, then rename."""
+    with _atomic_file(path) as fh:
+        fh.write(data)
 
 
 def canonical_json(obj) -> str:
@@ -49,8 +58,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
@@ -81,6 +89,7 @@ def save_trajectories(path: str, ensemble) -> None:
 
     Blocks are little-endian, in the order listed in the header; array shapes
     are recorded there. Deterministic byte-for-byte for a given ensemble.
+    The blocks are written from the arrays, with no copy of the file in memory.
     """
     header = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
@@ -95,11 +104,10 @@ def save_trajectories(path: str, ensemble) -> None:
     if ensemble.p is not None:
         header["blocks"].append({"name": "p", "shape": list(ensemble.p.shape)})
         arrays.append(ensemble.p)
-    buf = io.BytesIO()
-    buf.write(canonical_json(header).encode("utf-8"))
-    for arr in arrays:
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    write_atomic(path, buf.getvalue())
+    with _atomic_file(path) as fh:
+        fh.write(canonical_json(header).encode("utf-8"))
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def load_trajectories(path: str) -> dict:

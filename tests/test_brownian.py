@@ -289,6 +289,21 @@ def test_storage_beyond_physical_memory_rejected(integrate):
         integrate(config)
 
 
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        (dict(n_particles=3, potential=Potential.harmonic([1.0, 2.0])), "2 spring constants for 3 particles"),
+        (dict(x_init="statoinary"), "unknown x_init 'statoinary'"),
+        (dict(p_init="x"), "unknown p_init 'x'"),
+        (dict(potential=Potential.polynomial([0.0, 0.0, 0.5])), "requires a harmonic potential"),
+    ],
+    ids=["spring-count", "x_init", "p_init", "stationary-polynomial"],
+)
+def test_invalid_model_rejected_at_construction(overrides, message):
+    with pytest.raises(ValidationError, match=message):
+        harmonic_config(**overrides)
+
+
 class TestFokkerPlanckResidual:
     def test_stationary_harmonic(self):
         config = harmonic_config(n_trajectories=10**6, t_end=0.1, store_every=20)
@@ -547,9 +562,8 @@ class TestNonsmoothness:
             store_every=1,
         )
         ens = integrate_overdamped(config)
-        rows = nonsmoothness_witness(
-            ens, [4e-3], bin_center=0.99, bin_width=0.03, min_count=10
-        )
+        # every windowed sample lies in [0.980, 1.0], inside the bin 0.99 +- 0.05
+        rows = nonsmoothness_witness(ens, [4e-3], bin_center=0.99)
         assert rows[0]["gap"] <= 2.0 * 4e-3
 
     @pytest.mark.parametrize("temperature", [0.5, 2.0])

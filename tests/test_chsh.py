@@ -111,7 +111,7 @@ class TestChshValue:
         assert chsh.chsh_value(np.eye(4) / 4, angles) == pytest.approx(0.0, abs=1e-12)
 
     def test_grid_maximum_tsirelson(self):
-        grid_max, best = chsh.chsh_grid_max(chsh.singlet_state(), 61)
+        grid_max, best = chsh.chsh_grid_max(chsh.singlet_state())
         assert 2.82 <= grid_max <= TSIRELSON + 1e-9
         # the attaining settings are optimal up to symmetry: locally both
         # setting pairs are orthogonal and offset by pi/4 from the other lab
@@ -127,7 +127,7 @@ class TestChshValue:
         for rho in [chsh.singlet_state()] + [random_density(rng) for _ in range(20)]:
             t = np.array([[np.trace(rho @ np.kron(si, sj)).real for sj in paulis] for si in paulis])
             bound = 2.0 * np.linalg.norm(np.linalg.svd(t, compute_uv=False))
-            grid_max, _ = chsh.chsh_grid_max(rho, 61)
+            grid_max, _ = chsh.chsh_grid_max(rho)
             assert np.cos(np.pi / 60) ** 2 * bound <= grid_max <= bound + 1e-12
 
     def test_degeneracy_guard(self):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,9 @@ MALFORMED = [
     ("seed", dict(QUANTUM, seed=True)),
     ("params.criteria[0]", {"command": "acceptance", "params": {"criteria": [99]}}),
     ("params.criteria", {"command": "acceptance", "params": {"criteria": "x"}}),
+    ("params.min_count", {"command": "velocity-field", "params": dict(VELOCITY, min_count=0)}),
+    ("params.min_count", {"command": "velocity-field", "params": dict(VELOCITY, min_count=1)}),
+    ("params.min_count", {"command": "velocity-field", "params": dict(VELOCITY, min_count=-5)}),
 ]
 
 
@@ -407,6 +411,23 @@ def test_malformed_config_exits_2(tmp_path, where, config):
     rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
     assert where in assert_one_error_line(rc, lines, 2)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        (
+            dict(n_particles=3, potential={"kind": "harmonic", "spring_constants": [1.0, 2.0]}),
+            "2 spring constants for 3 particles",
+        ),
+        (dict(x_init="statoinary"), "unknown x_init"),
+    ],
+    ids=["spring-count", "x_init"],
+)
+def test_invalid_langevin_model_exits_2(tmp_path, overrides, message):
+    config_path = write_config(tmp_path, langevin_with(**overrides))
+    rc, lines = run_main(["--config", config_path, "--out", str(tmp_path / "o")])
+    assert message in assert_one_error_line(rc, lines, 2)
 
 
 class TestArgumentErrors:
@@ -508,6 +529,22 @@ class TestTrajectoryFile:
             (tmp_path / f"foreign{i}.bin").write_bytes(json.dumps(header).encode() + b"\n" + body)
             with pytest.raises(cli.ValidationError):
                 runio.load_trajectories(str(tmp_path / f"foreign{i}.bin"))
+
+    def test_save_streams_the_ensemble(self, tmp_path):
+        # a 40 MB ensemble; holding the file in memory would need as much again
+        params = langevin_params(n_trajectories=50_000, t_end=0.1, store_every=1)
+        config = brownian.LangevinConfig.from_dict(dict(params, seed=1))
+        x = np.random.default_rng(0).standard_normal((50_000, 101, 1))
+        ens = brownian.TrajectoryEnsemble(times=np.arange(101) * 1e-3, x=x, p=None, config=config)
+        path = str(tmp_path / "big.bin")
+        tracemalloc.start()
+        try:
+            runio.save_trajectories(path, ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        np.testing.assert_array_equal(runio.load_trajectories(path)["x"], x)
 
 
 # small valid configs: no mutation with the numbers below can make them run long
