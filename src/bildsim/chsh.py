@@ -176,13 +176,17 @@ def hv_sample(strategy: HvStrategy, n: int, seed: int) -> OutcomeStream:
 
 
 def empirical_correlation(stream: OutcomeStream, pair: str) -> float:
-    """Mean product of one outcome pair; all six pairs share the stream."""
+    """Mean product of one outcome pair; all six pairs share the stream.
+
+    Each product is +1 where the outcomes agree and -1 where they differ, so
+    the mean is (2 agreements - n) / n, from an exact integer count.
+    """
     if pair not in PAIR_NAMES:
         raise ValidationError(f"unknown pair {pair!r}; expected one of {PAIR_NAMES}")
-    i = _COLUMNS[pair[:2]]
-    j = _COLUMNS[pair[2:]]
-    prod = stream.outcomes[:, i].astype(float) * stream.outcomes[:, j]
-    return float(prod.mean())
+    o = stream.outcomes
+    n = o.shape[0]
+    agree = int(np.count_nonzero(o[:, _COLUMNS[pair[:2]]] == o[:, _COLUMNS[pair[2:]]]))
+    return (2 * agree - n) / n
 
 
 def chsh_from_stream(stream: OutcomeStream) -> float:

@@ -12,6 +12,7 @@ Errors are emitted as one JSON object on stderr.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -487,13 +488,22 @@ def run_experiment(
     out_dir = out_dir or parsed["out"] or "."
     seed = parsed["seed"] if seed_override is None else _SEED(seed_override, "seed")
     paper_units = parsed["paper_units"] if paper_units_override is None else paper_units_override
+    created = not os.path.isdir(out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create output directory: {exc}") from exc
     run = _COMMANDS[parsed["command"]][0]
     start = time.perf_counter()
-    outputs = run(parsed["params"], seed, out_dir, paper_units)
+    try:
+        outputs = run(parsed["params"], seed, out_dir, paper_units)
+    except BaseException:
+        # a run that fails before writing anything leaves no directory behind;
+        # rmdir removes only an empty one
+        if created:
+            with contextlib.suppress(OSError):
+                os.rmdir(out_dir)
+        raise
     runio.write_manifest(
         out_dir,
         config,

@@ -414,20 +414,22 @@ def test_malformed_config_exits_2(tmp_path, where, config):
 
 
 @pytest.mark.parametrize(
-    "overrides,message",
+    "config,message",
     [
         (
-            dict(n_particles=3, potential={"kind": "harmonic", "spring_constants": [1.0, 2.0]}),
+            langevin_with(n_particles=3, potential={"kind": "harmonic", "spring_constants": [1.0, 2.0]}),
             "2 spring constants for 3 particles",
         ),
-        (dict(x_init="statoinary"), "unknown x_init"),
+        (langevin_with(x_init="statoinary"), "unknown x_init"),
+        ({"command": "velocity-field", "params": dict(VELOCITY, bin_min=2.0)}, "params.bin_min"),
     ],
-    ids=["spring-count", "x_init"],
+    ids=["spring-count", "x_init", "bin-range"],
 )
-def test_invalid_langevin_model_exits_2(tmp_path, overrides, message):
-    config_path = write_config(tmp_path, langevin_with(**overrides))
-    rc, lines = run_main(["--config", config_path, "--out", str(tmp_path / "o")])
+def test_invalid_langevin_model_exits_2(tmp_path, config, message):
+    # the runner rejects these after --out is created; the run removes it again
+    rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
     assert message in assert_one_error_line(rc, lines, 2)
+    assert not (tmp_path / "o").exists()
 
 
 class TestArgumentErrors:

@@ -56,6 +56,53 @@ class TestSampleFields:
             fields.FieldMeasure(np.diag([1.0, -0.5]))
 
 
+# (dimension, rank of the covariance): full rank, and two rank-deficient cases
+REFERENCE_CASES = [(1, 1), (2, 2), (3, 3), (5, 5), (3, 2), (5, 3)]
+
+
+def reference_measure(d, rank, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    return rng, fields.FieldMeasure(c @ c.conj().T)
+
+
+def reference_values(samples, variable):
+    """<phi|A|phi> by the complex three-operand contraction."""
+    return np.einsum("ni,ij,nj->n", samples.conj(), variable.kernel, samples).real
+
+
+class TestReferenceFormulas:
+    """The sampler and the evaluator against the complex formulas they replace."""
+
+    @pytest.mark.parametrize("d,rank", REFERENCE_CASES)
+    def test_sample_fields_matches_complex_product(self, d, rank):
+        _, measure = reference_measure(d, rank, 20 + d)
+        n, seed = 2000, 21
+        w, v = np.linalg.eigh(measure.covariance)
+        factor = v * np.sqrt(np.clip(w, 0.0, None))
+        z = np.random.Generator(np.random.Philox(np.uint64(seed))).standard_normal((n, 2 * d))
+        expected = ((z[:, :d] + 1j * z[:, d:]) * np.sqrt(0.5)) @ factor.T
+        samples = fields.sample_fields(measure, n, seed)
+        assert samples.shape == (n, d) and samples.dtype == np.complex128
+        assert np.max(np.abs(samples - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("d,rank", REFERENCE_CASES)
+    def test_monte_carlo_matches_complex_contraction(self, d, rank):
+        rng, measure = reference_measure(d, rank, 30 + d)
+        v = fields.QuadraticVariable(random_hermitian(rng, d))
+        w = fields.QuadraticVariable(random_hermitian(rng, d))
+        n, seed = 2000, 31
+        samples = fields.sample_fields(measure, n, seed)
+        f, g = reference_values(samples, v), reference_values(samples, w)
+        estimates = [
+            (fields.mc_average(v, measure, n, seed), f),
+            (fields.mc_pair_correlation(v, w, measure, n, seed), f * g),
+        ]
+        for est, vals in estimates:
+            assert abs(est.mean - vals.mean()) <= 1e-13 * np.mean(np.abs(vals))
+            assert est.std_error == pytest.approx(vals.std(ddof=1) / np.sqrt(n), rel=1e-13)
+
+
 def point_measure(phi):
     # covariance phi phi*: the fields c phi, c circular Gaussian with E|c|^2 = 1,
     # so a quadratic variable averages to its value <phi|A|phi> at phi
