@@ -184,6 +184,10 @@ class TrajectoryEnsemble:
     """Stored positions (and momenta for underdamped runs) on a uniform grid.
 
     Shapes: times (n_times,), x and p (n_trajectories, n_times, n_particles).
+    These are logical shapes: x and p may be views of memory in another
+    order (the integrators store time-major, a loaded file is
+    trajectory-major). Consumers index them and must not assume
+    C-contiguity; ``ravel`` and ``reshape`` of them may copy.
     """
 
     times: np.ndarray
@@ -273,6 +277,10 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     larger than the machine's physical memory, a step count t_end / dt too
     large to be a number, or more than 10^12 particle-steps is a
     ValidationError, raised before anything is allocated.
+
+    The stored arrays are held time-major, (time, trajectory, particle), and
+    returned as (trajectory, time, particle) views of that memory: they index
+    like the ensemble's contract says but are not C-contiguous.
     """
     steps = config.t_end / config.dt
     if not math.isfinite(steps):
@@ -294,15 +302,16 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     springs = np.asarray(config.potential.spring_constants)
     x = _initial_state(config.x_init, lambda: config.temps / springs, shape, rng)
     p = _initial_state(config.p_init, lambda: config.mass * config.temps, shape, rng) if underdamped else None
-    xs = np.empty((config.n_trajectories, n_stored, config.n_particles))
+    # time-major, so that each stored state is one contiguous write
+    xs = np.empty((n_stored, config.n_trajectories, config.n_particles))
     ps = np.empty_like(xs) if underdamped else None
     times = np.empty(n_stored)
     slot = 0
     for step in range(n_steps + 1):
         if step % config.store_every == 0:
-            xs[:, slot] = x
+            xs[slot] = x
             if underdamped:
-                ps[:, slot] = p
+                ps[slot] = p
             times[slot] = step * config.dt
             slot += 1
         if step == n_steps:
@@ -312,7 +321,8 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
         if step % 200 == 0:
             _check_finite(p if underdamped else x, step, config.dt)
     _check_finite(xs, n_steps, config.dt)
-    return TrajectoryEnsemble(times=times, x=xs, p=ps, config=config)
+    p_view = ps.transpose(1, 0, 2) if underdamped else None
+    return TrajectoryEnsemble(times=times, x=xs.transpose(1, 0, 2), p=p_view, config=config)
 
 
 def integrate_underdamped(config: LangevinConfig) -> TrajectoryEnsemble:

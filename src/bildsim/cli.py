@@ -301,7 +301,10 @@ def _run_velocity_field(params: dict, seed: int, out: str, paper_units: bool) ->
     edges = np.linspace(params["bin_min"], params["bin_max"], params["n_bins"] + 1)
     vp, vm = brownian.coarse_velocities(ens, eps, edges, min_count=params["min_count"])
     u = brownian.osmotic_velocity(vp, vm)
+    # ravel copies the time-major positions into trajectory-major order;
+    # dropping the ensemble keeps that copy out of the density estimate's peak
     pooled = ens.x[:, :, 0].ravel()
+    del ens
     diff_coeff = float(config.diffusion_coefficients()[0])
     oracle = -diff_coeff * brownian.log_density_gradient(pooled, u.bin_centers)
     rows = []
@@ -488,7 +491,12 @@ def run_experiment(
     out_dir = out_dir or parsed["out"] or "."
     seed = parsed["seed"] if seed_override is None else _SEED(seed_override, "seed")
     paper_units = parsed["paper_units"] if paper_units_override is None else paper_units_override
-    created = not os.path.isdir(out_dir)
+    # the directories that makedirs will create, deepest first
+    created = []
+    missing = os.path.abspath(out_dir)
+    while not os.path.exists(missing):
+        created.append(missing)
+        missing = os.path.dirname(missing)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -499,10 +507,11 @@ def run_experiment(
         outputs = run(parsed["params"], seed, out_dir, paper_units)
     except BaseException:
         # a run that fails before writing anything leaves no directory behind;
-        # rmdir removes only an empty one
-        if created:
+        # rmdir removes only an empty one, so a directory holding outputs
+        # stays, and with it every directory above it
+        for path in created:
             with contextlib.suppress(OSError):
-                os.rmdir(out_dir)
+                os.rmdir(path)
         raise
     runio.write_manifest(
         out_dir,

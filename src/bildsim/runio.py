@@ -20,6 +20,8 @@ import numpy as np
 from .errors import ValidationError
 
 TRAJECTORY_SCHEMA_VERSION = 1
+# save_trajectories copies at most about this many bytes of an array at once
+_WRITE_CHUNK_BYTES = 2**20
 
 
 @contextlib.contextmanager
@@ -88,8 +90,11 @@ def save_trajectories(path: str, ensemble) -> None:
     """Binary columnar file: one JSON header line, then raw float64 blocks.
 
     Blocks are little-endian, in the order listed in the header; array shapes
-    are recorded there. Deterministic byte-for-byte for a given ensemble.
-    The blocks are written from the arrays, with no copy of the file in memory.
+    are recorded there. Each block holds its array in C order of its logical
+    shape, whatever the memory layout of the array (the integrators return
+    time-major views), so the bytes depend only on the values. Arrays are
+    written in contiguous chunks of about 1 MiB of leading-axis rows, with no
+    copy of a whole array or of the file in memory.
     """
     header = {
         "schema_version": TRAJECTORY_SCHEMA_VERSION,
@@ -107,7 +112,9 @@ def save_trajectories(path: str, ensemble) -> None:
     with _atomic_file(path) as fh:
         fh.write(canonical_json(header).encode("utf-8"))
         for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
+            rows = max(1, _WRITE_CHUNK_BYTES // (8 * max(1, math.prod(arr.shape[1:]))))
+            for start in range(0, arr.shape[0], rows):
+                fh.write(np.ascontiguousarray(arr[start : start + rows], dtype="<f8").data)
 
 
 def load_trajectories(path: str) -> dict:

@@ -352,6 +352,63 @@ def stationary_ensemble():
     return integrate_overdamped(config)
 
 
+class TestStorageLayout:
+    """The integrators return (trajectory, time, particle) views of time-major
+    memory; a loaded file is trajectory-major. Every consumer gives the same
+    bits for both layouts."""
+
+    @pytest.fixture(scope="class")
+    def layouts(self):
+        config = harmonic_config(
+            p_init="stationary", dt=2.5e-3, t_end=0.05, n_trajectories=100_000, store_every=1, seed=5
+        )
+        stored = integrate_underdamped(config)
+        loaded = dataclasses.replace(stored, x=np.ascontiguousarray(stored.x), p=np.ascontiguousarray(stored.p))
+        # the test means something only while the two layouts differ
+        assert stored.x.strides != loaded.x.strides and stored.p.strides != loaded.p.strides
+        return stored, loaded
+
+    def test_coarse_velocities(self, layouts):
+        edges = np.linspace(-2.0, 2.0, 9)
+        for t_index in (None, 8):
+            a, b = (coarse_velocities(ens, 1e-2, edges, t_index=t_index) for ens in layouts)
+            for va, vb in zip(a, b):
+                for field in ("values", "std_errors", "counts"):
+                    np.testing.assert_array_equal(getattr(va, field), getattr(vb, field))
+
+    def test_nonsmoothness_witness(self, layouts):
+        a, b = (nonsmoothness_witness(ens, [5e-3, 1e-2, 2e-2], 0.3) for ens in layouts)
+        assert a == b
+
+    def test_momentum_resolution_check(self, layouts):
+        a, b = (momentum_resolution_check(ens, 1e-2, p_center=0.5) for ens in layouts)
+        assert a == b
+
+    def test_fokker_planck_residual(self, layouts):
+        a, b = (fokker_planck_residual(ens) for ens in layouts)
+        assert a == b
+
+    def test_csv_rows(self, layouts):
+        a, b = (
+            list(runio.trajectories_to_csv_rows(dataclasses.replace(ens, x=ens.x[:40], p=ens.p[:40])))
+            for ens in layouts
+        )
+        assert a == b
+
+    def test_trajectory_file(self, layouts, tmp_path):
+        # 100k x 21 positions and momenta: many write chunks, the last one partial
+        paths = [tmp_path / "stored.bin", tmp_path / "loaded.bin"]
+        for path, ens in zip(paths, layouts):
+            runio.save_trajectories(str(path), ens)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        data = runio.load_trajectories(str(paths[0]))
+        stored = layouts[0]
+        np.testing.assert_array_equal(data["times"], stored.times)
+        np.testing.assert_array_equal(data["x"], stored.x)
+        np.testing.assert_array_equal(data["p"], stored.p)
+        assert data["header"]["config_hash"] == runio.config_hash(stored.config.to_dict())
+
+
 class TestCoarseVelocities:
     def test_deterministic_drift(self):
         config = harmonic_config(

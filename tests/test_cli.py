@@ -426,10 +426,14 @@ def test_malformed_config_exits_2(tmp_path, where, config):
     ids=["spring-count", "x_init", "bin-range"],
 )
 def test_invalid_langevin_model_exits_2(tmp_path, config, message):
-    # the runner rejects these after --out is created; the run removes it again
-    rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
+    # the runner rejects these after --out a/b/c is created below the
+    # existing a; the run removes c and b again, and only those
+    config_path = write_config(tmp_path, config)
+    (tmp_path / "a").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    rc, lines = run_main(["--config", config_path, "--out", str(tmp_path / "a" / "b" / "c")])
     assert message in assert_one_error_line(rc, lines, 2)
-    assert not (tmp_path / "o").exists()
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestArgumentErrors:
@@ -532,21 +536,34 @@ class TestTrajectoryFile:
             with pytest.raises(cli.ValidationError):
                 runio.load_trajectories(str(tmp_path / f"foreign{i}.bin"))
 
-    def test_save_streams_the_ensemble(self, tmp_path):
-        # a 40 MB ensemble; holding the file in memory would need as much again
-        params = langevin_params(n_trajectories=50_000, t_end=0.1, store_every=1)
+    @staticmethod
+    def save_peak(path, x):
+        """tracemalloc peak of save_trajectories on positions x; checks the round trip."""
+        params = langevin_params(n_trajectories=x.shape[0], t_end=0.1, store_every=1)
         config = brownian.LangevinConfig.from_dict(dict(params, seed=1))
-        x = np.random.default_rng(0).standard_normal((50_000, 101, 1))
-        ens = brownian.TrajectoryEnsemble(times=np.arange(101) * 1e-3, x=x, p=None, config=config)
-        path = str(tmp_path / "big.bin")
+        ens = brownian.TrajectoryEnsemble(times=np.arange(x.shape[1]) * 1e-3, x=x, p=None, config=config)
         tracemalloc.start()
         try:
             runio.save_trajectories(path, ens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20, peak
         np.testing.assert_array_equal(runio.load_trajectories(path)["x"], x)
+        return peak
+
+    def test_save_streams_the_ensemble(self, tmp_path):
+        # a 40 MB ensemble; holding the file in memory would need as much again
+        x = np.random.default_rng(0).standard_normal((50_000, 101, 1))
+        peak = self.save_peak(str(tmp_path / "big.bin"), x)
+        assert peak < 8 * 2**20, peak
+
+    def test_save_streams_a_time_major_ensemble(self, tmp_path):
+        # the integrators' layout: a (trajectory, time, particle) view of
+        # time-major memory, 40 MB, which the writer must reorder chunk by chunk
+        x = np.random.default_rng(0).standard_normal((101, 50_000, 1)).transpose(1, 0, 2)
+        assert not x.flags.c_contiguous
+        peak = self.save_peak(str(tmp_path / "big.bin"), x)
+        assert peak < 4 * 2**20, peak
 
 
 # small valid configs: no mutation with the numbers below can make them run long
