@@ -390,24 +390,38 @@ def _epsilon_steps(ensemble: TrajectoryEnsemble, epsilon: float) -> int:
     return k
 
 
+def _lattice_steps(
+    ensemble: TrajectoryEnsemble, lattice: slice, epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Particle-0 positions at the stored times ``lattice``, C-contiguous
+    (trajectory, lattice time), and ``steps``: the displacement of each
+    window between neighbouring lattice times, divided by epsilon.
+
+    ``steps`` is flat: a zero, then per trajectory its windows in order and
+    another zero. Read as (trajectory, lattice time), ``steps[1:]`` puts each
+    window at the time where it starts and ``steps[:-1]`` at the time where
+    it ends, so one array serves both without a copy. The estimators'
+    working set, at most 40 bytes per trajectory and lattice time, is
+    checked against physical memory before anything is allocated.
+    """
+    n_lattice = len(range(*lattice.indices(ensemble.n_times)))
+    n_trajectories = ensemble.x.shape[0]
+    check_memory(40 * n_trajectories * n_lattice, "the velocity estimator's working set")
+    # a lattice time of time-major memory is one contiguous row; the copy
+    # transposes them into trajectory-major order once
+    pos = np.ascontiguousarray(ensemble.x[:, lattice, 0])
+    steps = np.zeros(n_trajectories * n_lattice + 1)
+    np.subtract(pos[:, 1:], pos[:, :-1], out=steps[1:].reshape(pos.shape)[:, :-1])
+    steps /= epsilon
+    return pos, steps
+
+
 def _binned_velocity(
-    anchor: np.ndarray,
-    velocity: np.ndarray,
-    bin_edges: np.ndarray,
-    epsilon: float,
-    min_count: int,
+    counts: np.ndarray, sums: np.ndarray, sq: np.ndarray, edges: np.ndarray, epsilon: float, min_count: int
 ) -> VelocityFieldEstimate:
-    edges = np.asarray(bin_edges, dtype=float)
-    idx = np.digitize(anchor, edges) - 1
-    n_bins = edges.size - 1
-    valid = (idx >= 0) & (idx < n_bins)
-    idx = idx[valid]
-    vel = velocity[valid]
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=vel, minlength=n_bins)
-    sq = np.bincount(idx, weights=vel * vel, minlength=n_bins)
-    values = np.full(n_bins, np.nan)
-    errs = np.full(n_bins, np.nan)
+    """Mean and standard error per bin from its count, sum and sum of squares."""
+    values = np.full(counts.size, np.nan)
+    errs = np.full(counts.size, np.nan)
     ok = counts >= min_count
     values[ok] = sums[ok] / counts[ok]
     var = np.maximum(sq[ok] / counts[ok] - values[ok] ** 2, 0.0)
@@ -423,23 +437,6 @@ def _binned_velocity(
     )
 
 
-def _increment_velocity(
-    x: np.ndarray,
-    anchors: np.ndarray,
-    firsts: np.ndarray,
-    k: int,
-    epsilon: float,
-    bin_edges,
-    min_count: int,
-) -> VelocityFieldEstimate:
-    """Bin (x(s+eps) - x(s))/eps, s = each of ``firsts``, by x at ``anchors``."""
-    # the anchor copy comes before the displacement: this allocation order
-    # keeps the heap small for the density estimate that callers run next
-    at = x[:, anchors].ravel()
-    disp = (x[:, firsts + k] - x[:, firsts]).ravel() / epsilon
-    return _binned_velocity(at, disp, bin_edges, epsilon, min_count)
-
-
 def coarse_velocities(
     ensemble: TrajectoryEnsemble,
     epsilon: float,
@@ -451,27 +448,49 @@ def coarse_velocities(
 
     v_plus is the mean of (x(t+eps) - x(t))/eps given x(t) in each bin,
     v_minus the mean of (x(t) - x(t-eps))/eps given x(t). By default all
-    windows starting at 0, eps, 2 eps, ... are pooled: each serves v_plus
-    through its start and v_minus through its end. Windows are disjoint, so
-    the standard errors treat them as independent (justified by the Markov
-    property); pooling assumes a stationary ensemble. Pass ``t_index`` to
-    anchor both at a single stored time instead, which needs a full window on
-    each side of it.
+    windows between the lattice times 0, eps, 2 eps, ... are pooled. The
+    positions are looked up in the bins once per lattice time, and each
+    window's displacement is computed once: it serves v_plus through the bin
+    of its start and v_minus through the bin of its end. Windows are
+    disjoint, so the standard errors treat them as independent (justified by
+    the Markov property); pooling assumes a stationary ensemble. Pass
+    ``t_index`` to anchor both at a single stored time instead, which needs a
+    full window on each side of it: v_plus then takes the window after it
+    and v_minus the window before it.
+
+    Each bin's sums add its windows in trajectory order, then in time order.
     """
     k = _epsilon_steps(ensemble, epsilon)
-    x = ensemble.x[:, :, 0]
+    edges = np.asarray(bin_edges, dtype=float)
     if t_index is None:
-        starts = np.arange(0, ensemble.n_times - k, k)
-        ends = starts + k
+        lattice = slice(0, ensemble.n_times, k)
     else:
         if not k <= t_index < ensemble.n_times - k:
             raise ValidationError(
                 f"t_index {t_index} needs {k} stored steps on each side "
                 f"within {ensemble.n_times} stored times"
             )
-        starts = ends = np.array([t_index])
-    v_plus = _increment_velocity(x, starts, starts, k, epsilon, bin_edges, min_count)
-    v_minus = _increment_velocity(x, ends, ends - k, k, epsilon, bin_edges, min_count)
+        lattice = slice(t_index - k, t_index + k + 1, k)
+    pos, steps = _lattice_steps(ensemble, lattice, epsilon)
+    # digitize's 0 (below the edges) and n_bins + 1 (at or above the last
+    # edge, or nan) index two bins that are dropped
+    idx = np.digitize(pos, edges)
+    if t_index is not None:
+        # only t_index anchors: the outer lattice times go to a dropped bin
+        idx[:, [0, -1]] = 0
+    steps_sq = steps * steps
+    n_bins = edges.size - 1
+    flat = idx.ravel()
+    occupancy = np.bincount(flat, minlength=n_bins + 2)
+    estimates = []
+    # a trajectory's last lattice time starts no window and its first ends
+    # none; their steps are the zero padding, which leaves every sum as it was
+    for weights, squares, idle in ((steps[1:], steps_sq[1:], idx[:, -1]), (steps[:-1], steps_sq[:-1], idx[:, 0])):
+        counts = occupancy - np.bincount(idle, minlength=n_bins + 2)
+        sums = np.bincount(flat, weights, n_bins + 2)
+        sq = np.bincount(flat, squares, n_bins + 2)
+        estimates.append(_binned_velocity(counts[1:-1], sums[1:-1], sq[1:-1], edges, epsilon, min_count))
+    v_plus, v_minus = estimates
     return v_plus, v_minus
 
 
@@ -541,17 +560,18 @@ def momentum_resolution_check(
             "resolution only coarse-grained velocities are defined"
         )
     k = _epsilon_steps(ensemble, epsilon)
-    x = ensemble.x[:, :, 0]
-    p = ensemble.p[:, :, 0]
-    anchors = np.arange(k, ensemble.n_times - k, k)
-    p_mid = p[:, anchors].ravel()
-    fwd = (x[:, anchors + k] - x[:, anchors]).ravel() / epsilon
-    bwd = (x[:, anchors] - x[:, anchors - k]).ravel() / epsilon
+    lattice = slice(0, ensemble.n_times, k)
+    pos, steps = _lattice_steps(ensemble, lattice, epsilon)
+    disp = steps[1:].reshape(pos.shape)[:, :-1]
+    # anchors are the inner lattice times: window j + 1 leaves anchor j and
+    # window j arrives there
+    p_mid = ensemble.p[:, lattice, 0][:, 1:-1]
     in_bin = np.abs(p_mid - p_center) <= 0.05
     nf = int(in_bin.sum())
     if nf < DEFAULT_MIN_BIN_COUNT:
         raise ValidationError(f"only {nf} samples in the momentum bin")
-    vf, vb = fwd[in_bin], bwd[in_bin]
+    # a 2-D mask selects in C order: trajectory-major, then anchor
+    vf, vb = disp[:, 1:][in_bin], disp[:, :-1][in_bin]
     return MomentumResolutionResult(
         v_plus=float(vf.mean()),
         v_plus_err=float(vf.std(ddof=1) / np.sqrt(nf)),

@@ -9,7 +9,9 @@ from scipy import stats
 from bildsim import runio
 from bildsim.brownian import (
     LangevinConfig,
+    MomentumResolutionResult,
     Potential,
+    TrajectoryEnsemble,
     coarse_velocities,
     fokker_planck_residual,
     integrate_overdamped,
@@ -469,6 +471,171 @@ class TestCoarseVelocities:
             coarse_velocities(
                 stationary_ensemble, 4e-3, np.linspace(-1, 1, 5), t_index=t_index
             )
+
+    def test_harmonic_ar1_oracle(self):
+        # Euler-Maruyama in the harmonic well is x' = (1 - a) x + b xi with
+        # a = k dt / gamma, so E[x(t + eps) - x(t) | x(t)] = ((1 - a)^m - 1) x(t)
+        # exactly, m = eps / dt; a stationary Gaussian AR(1) is reversible, so
+        # E[x(t) - x(t - eps) | x(t)] = (1 - (1 - a)^m) x(t). Both are linear
+        # in x, so a bin's mean is the coefficient times its mean anchor.
+        config = harmonic_config(t_end=0.2, n_trajectories=20_000, store_every=1, seed=13)
+        ens = integrate_overdamped(config)
+        eps, m, a = 4e-2, 40, 1e-3
+        edges = np.linspace(-2.0, 2.0, 9)
+        vp, vm = coarse_velocities(ens, eps, edges)
+        decay = (1.0 - a) ** m
+        lattice = ens.x[:, ::m, 0]
+        for v, anchors, coefficient in (
+            (vp, lattice[:, :-1], (decay - 1.0) / eps),
+            (vm, lattice[:, 1:], (1.0 - decay) / eps),
+        ):
+            counts, _ = np.histogram(anchors, edges)
+            sums, _ = np.histogram(anchors, edges, weights=anchors)
+            np.testing.assert_array_equal(v.counts, counts)
+            ok = ~np.isnan(v.values)
+            assert ok.sum() == 8
+            expected = coefficient * sums[ok] / counts[ok]
+            # the T/k start is O(a) away from the AR(1) stationary variance,
+            # which moves v_minus by about m a^2 / eps relative: 1e-3 here
+            np.testing.assert_array_less(np.abs(v.values[ok] - expected), 4.0 * v.std_errors[ok] + 0.01)
+
+    @pytest.mark.parametrize("estimator", ["coarse_velocities", "momentum_resolution_check"])
+    def test_working_set_beyond_physical_memory_rejected(self, estimator):
+        # zero strides: 10^15 logical trajectories in 8 bytes
+        huge = np.broadcast_to(np.zeros(1), (10**15, 21, 1))
+        ens = TrajectoryEnsemble(times=np.arange(21) * 1e-3, x=huge, p=huge, config=harmonic_config())
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="physical memory"):
+                if estimator == "coarse_velocities":
+                    coarse_velocities(ens, 4e-3, np.linspace(-1.0, 1.0, 5))
+                else:
+                    momentum_resolution_check(ens, 4e-3, p_center=0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+
+def two_pass_velocities(ensemble, epsilon, bin_edges, min_count, t_index=None):
+    """The estimator that one lattice pass replaced: per direction, gather the
+    anchors and both ends of each window, digitize the anchors, drop those
+    outside the edges, then bincount. Returns (values, std_errors, counts)
+    for v_plus and for v_minus."""
+    k = int(round(epsilon / ensemble.dt_store))
+    x = ensemble.x[:, :, 0]
+    if t_index is None:
+        starts = np.arange(0, ensemble.n_times - k, k)
+        ends = starts + k
+    else:
+        starts = ends = np.array([t_index])
+    edges = np.asarray(bin_edges, dtype=float)
+    n_bins = edges.size - 1
+    result = []
+    for anchors, firsts in ((starts, starts), (ends, ends - k)):
+        at = x[:, anchors].ravel()
+        vel = (x[:, firsts + k] - x[:, firsts]).ravel() / epsilon
+        idx = np.digitize(at, edges) - 1
+        valid = (idx >= 0) & (idx < n_bins)
+        idx, vel = idx[valid], vel[valid]
+        counts = np.bincount(idx, minlength=n_bins)
+        sums = np.bincount(idx, weights=vel, minlength=n_bins)
+        sq = np.bincount(idx, weights=vel * vel, minlength=n_bins)
+        values = np.full(n_bins, np.nan)
+        errs = np.full(n_bins, np.nan)
+        ok = counts >= min_count
+        values[ok] = sums[ok] / counts[ok]
+        var = np.maximum(sq[ok] / counts[ok] - values[ok] ** 2, 0.0)
+        errs[ok] = np.sqrt(var / counts[ok])
+        result.append((values, errs, counts))
+    return result
+
+
+def four_gather_momentum_check(ensemble, epsilon, p_center):
+    """The momentum check that one lattice difference replaced: momenta and
+    both windows gathered at each anchor separately."""
+    k = int(round(epsilon / ensemble.dt_store))
+    x, p = ensemble.x[:, :, 0], ensemble.p[:, :, 0]
+    anchors = np.arange(k, ensemble.n_times - k, k)
+    p_mid = p[:, anchors].ravel()
+    fwd = (x[:, anchors + k] - x[:, anchors]).ravel() / epsilon
+    bwd = (x[:, anchors] - x[:, anchors - k]).ravel() / epsilon
+    in_bin = np.abs(p_mid - p_center) <= 0.05
+    nf = int(in_bin.sum())
+    vf, vb = fwd[in_bin], bwd[in_bin]
+    return MomentumResolutionResult(
+        v_plus=float(vf.mean()),
+        v_plus_err=float(vf.std(ddof=1) / np.sqrt(nf)),
+        v_minus=float(vb.mean()),
+        v_minus_err=float(vb.std(ddof=1) / np.sqrt(nf)),
+        p_over_m=float(p_center / ensemble.config.mass),
+    )
+
+
+def edge_case_ensemble(edges, n_trajectories=4000, n_times=23, seed=3):
+    """Positions drawn from the edges, their float neighbours, points outside
+    the edges and values between them; time-major memory as the
+    integrators store it, dt = 1e-3."""
+    rng = np.random.default_rng(seed)
+    special = np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [edges[0] - 1.0, edges[-1] + 1.0]]
+    )
+    # density falling to zero at the last edge, so the upper bins run short
+    inside = rng.triangular(edges[0], edges[0], edges[-1], n_times * n_trajectories)
+    pick = rng.random(inside.size) < 0.25
+    values = np.where(pick, rng.choice(special, inside.size), inside)
+    xs = values.reshape(n_times, n_trajectories, 1)
+    config = harmonic_config(n_trajectories=n_trajectories, store_every=1, t_end=(n_times - 1) * 1e-3)
+    return TrajectoryEnsemble(times=np.arange(n_times) * 1e-3, x=xs.transpose(1, 0, 2), p=None, config=config)
+
+
+class TestReferenceFormulas:
+    """The lattice estimators against the per-direction formulas they replace,
+    bit for bit."""
+
+    @staticmethod
+    def assert_bit_identical(estimates, reference):
+        for estimate, arrays in zip(estimates, reference):
+            for name, expected in zip(("values", "std_errors", "counts"), arrays):
+                got = getattr(estimate, name)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, name
+                assert got.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("t_index", [None, 4, 40])
+    def test_simulated_ensemble(self, stationary_ensemble, t_index):
+        edges = np.linspace(-2.0, 2.0, 21)
+        estimates = coarse_velocities(stationary_ensemble, 4e-3, edges, t_index=t_index)
+        self.assert_bit_identical(estimates, two_pass_velocities(stationary_ensemble, 4e-3, edges, 200, t_index))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [np.linspace(-1.0, 1.0, 9), np.array([-1.0, -0.7, -0.1, 0.0, 0.05, 0.6, 1.0])],
+        ids=["uniform", "non-uniform"],
+    )
+    @pytest.mark.parametrize(
+        "epsilon,t_index,min_count",
+        # 22 steps between the 23 stored times: k = 2 divides them, k = 3
+        # leaves one over; k = 30 exceeds them, so no window fits
+        [(2e-3, None, 2500), (3e-3, None, 2500), (3e-3, 3, 300), (3e-3, 19, 300), (3e-2, None, 2500)],
+    )
+    def test_edges_and_outliers(self, edges, epsilon, t_index, min_count):
+        ens = edge_case_ensemble(edges)
+        estimates = coarse_velocities(ens, epsilon, edges, min_count=min_count, t_index=t_index)
+        reference = two_pass_velocities(ens, epsilon, edges, min_count, t_index)
+        self.assert_bit_identical(estimates, reference)
+        for values, _, counts in reference:
+            if epsilon == 3e-2:
+                assert np.all(np.isnan(values)) and np.all(counts == 0)
+            else:
+                # some bins fall below min_count, some do not
+                assert 0 < np.count_nonzero(np.isnan(values)) < values.size
+
+    @pytest.mark.parametrize("epsilon", [5e-3, 1e-2, 2e-2])
+    def test_momentum_resolution(self, free_underdamped, epsilon):
+        # 101 stored times: k = 2 and 4 divide the 100 steps, k = 8 does not
+        for p_center in (-0.5, 0.0, 1.0):
+            got = momentum_resolution_check(free_underdamped, epsilon, p_center)
+            assert got == four_gather_momentum_check(free_underdamped, epsilon, p_center)
 
 
 class TestOsmoticVelocity:

@@ -2,9 +2,11 @@ import contextlib
 import copy
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -328,6 +330,99 @@ class TestManifestAndDeterminism:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert "seed" in json.loads(lines[0])["error"]
+
+
+def load_output_digests():
+    """tools/output_digests.py, whose CONFIGS are the pinned runs."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "output_digests.py")
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+OUTPUT_DIGESTS = load_output_digests()
+PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_pins.json")
+PINNED_CONFIGS = ("velocity-field", "velocity-field-min-count")
+# the oracle column passes through a BLAS product (w @ d in
+# log_density_gradient), whose last bits can depend on the CPU's kernel
+BLAS_OUTPUTS = ("osmotic_overlay.csv",)
+
+
+def blas_name():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 only prints its build configuration
+        return "a BLAS numpy does not report"
+    return f"{blas['name']} {blas['version']}"
+
+
+def pin_outputs(out):
+    """The pin of one run: each output's sha256, or, for an output in
+    BLAS_OUTPUTS, its lines; manifest.json is left out."""
+    pins = {}
+    for path in sorted(out.iterdir()):
+        if path.name in BLAS_OUTPUTS:
+            pins[path.name] = {"lines": path.read_text().splitlines()}
+        elif path.name != "manifest.json":
+            pins[path.name] = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    return pins
+
+
+def write_pins(path=PINS_PATH):
+    """Rewrite the pin file from this checkout's outputs, after a change that
+    is meant to move them:
+
+        PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); import test_cli; test_cli.write_pins()"
+    """
+    record = {"made_with": {"numpy": np.__version__, "blas": blas_name()}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in PINNED_CONFIGS:
+            out = os.path.join(tmp, name)
+            cli.run_experiment(OUTPUT_DIGESTS.CONFIGS[name], out, threads=1)
+            record[name] = pin_outputs(pathlib.Path(out))
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+class TestOutputPins:
+    """Outputs of tools/output_digests.py configs against tests/output_pins.json,
+    and against a rerun at another ``threads``."""
+
+    @pytest.mark.parametrize("name", PINNED_CONFIGS)
+    def test_velocity_field(self, tmp_path, name):
+        runs = []
+        for threads in (1, 8):
+            out = tmp_path / f"threads-{threads}"
+            cli.run_experiment(OUTPUT_DIGESTS.CONFIGS[name], str(out), threads=threads)
+            runs.append(pin_outputs(out))
+        assert runs[0] == runs[1]
+        with open(PINS_PATH) as fh:
+            record = json.load(fh)
+        made = record["made_with"]
+        where = (
+            f"pinned with numpy {made['numpy']} and {made['blas']}; this run has numpy "
+            f"{np.__version__} and {blas_name()}"
+        )
+        pinned = record[name]
+        assert sorted(runs[0]) == sorted(pinned), where
+        for output, got in runs[0].items():
+            if output in BLAS_OUTPUTS:
+                (header, *rows), (pin_header, *pin_rows) = (
+                    [line.split(",") for line in lines] for lines in (got["lines"], pinned[output]["lines"])
+                )
+                assert header == pin_header, f"{name}/{output}: {where}"
+                np.testing.assert_allclose(
+                    np.array(rows, dtype=float),
+                    np.array(pin_rows, dtype=float),
+                    rtol=1e-13,
+                    atol=0.0,
+                    equal_nan=True,
+                    err_msg=f"{name}/{output}: {where}",
+                )
+            else:
+                assert got == pinned[output], f"{name}/{output}: {where}"
 
 
 class TestAcceptanceCommand:
