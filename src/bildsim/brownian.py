@@ -369,7 +369,6 @@ class VelocityFieldEstimate:
     std_errors: np.ndarray
     counts: np.ndarray
     epsilon: float
-    bin_width: float
 
 
 def _epsilon_steps(ensemble: TrajectoryEnsemble, epsilon: float) -> int:
@@ -386,6 +385,11 @@ def _epsilon_steps(ensemble: TrajectoryEnsemble, epsilon: float) -> int:
         raise ValidationError(
             f"epsilon={epsilon:.3g} must be at least twice the integration "
             f"step {ensemble.config.dt:.3g}"
+        )
+    if k >= ensemble.n_times:
+        raise ValidationError(
+            f"epsilon={epsilon:.3g} is longer than the run: {k} stored steps "
+            f"where the run has {ensemble.n_times - 1}"
         )
     return k
 
@@ -433,7 +437,6 @@ def _binned_velocity(
         std_errors=errs,
         counts=counts,
         epsilon=epsilon,
-        bin_width=float(edges[1] - edges[0]),
     )
 
 
@@ -510,7 +513,6 @@ def osmotic_velocity(
         std_errors=errs,
         counts=np.minimum(v_plus.counts, v_minus.counts),
         epsilon=v_plus.epsilon,
-        bin_width=v_plus.bin_width,
     )
 
 

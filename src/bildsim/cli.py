@@ -89,7 +89,6 @@ _flag = _json(bool, "true or false")
 _string = _json(str, "a string")
 # numbers are returned as given: LangevinConfig.to_dict() is hashed into trajectory files
 _number = _json((int, float), "a finite number", lambda v: abs(v) <= sys.float_info.max)
-_SEED = _integer(0, 2**64 - 1)
 
 
 def _list_of(parse, length=None):
@@ -454,7 +453,7 @@ _COMMANDS = {
 
 _CONFIG = {
     "command": (_string, _REQUIRED),
-    "seed": (_SEED, 0),
+    "seed": (_integer(0, 2**64 - 1), 0),
     "out": (_string, None),
     "paper_units": (_flag, False),
     # parsed with the command's spec once the command is known
@@ -472,13 +471,7 @@ def validate_config(config: dict) -> dict:
     return parsed
 
 
-def run_experiment(
-    config: dict,
-    out_dir: str | None,
-    threads: int = 1,
-    seed_override: int | None = None,
-    paper_units_override: bool | None = None,
-) -> list[str]:
+def run_experiment(config: dict, out_dir: str | None, threads: int = 1) -> list[str]:
     """Validate and execute one experiment config; returns output file names.
 
     Outputs go to ``out_dir``, else the config's ``out``, else ".".
@@ -489,8 +482,6 @@ def run_experiment(
         raise ValidationError("field 'threads' must be >= 1")
     parsed = validate_config(config)
     out_dir = out_dir or parsed["out"] or "."
-    seed = parsed["seed"] if seed_override is None else _SEED(seed_override, "seed")
-    paper_units = parsed["paper_units"] if paper_units_override is None else paper_units_override
     # the directories that makedirs will create, deepest first
     created = []
     missing = os.path.abspath(out_dir)
@@ -504,7 +495,7 @@ def run_experiment(
     run = _COMMANDS[parsed["command"]][0]
     start = time.perf_counter()
     try:
-        outputs = run(parsed["params"], seed, out_dir, paper_units)
+        outputs = run(parsed["params"], parsed["seed"], out_dir, parsed["paper_units"])
     except BaseException:
         # a run that fails before writing anything leaves no directory behind;
         # rmdir removes only an empty one, so a directory holding outputs
@@ -513,14 +504,7 @@ def run_experiment(
             with contextlib.suppress(OSError):
                 os.rmdir(path)
         raise
-    runio.write_manifest(
-        out_dir,
-        config,
-        __version__,
-        time.perf_counter() - start,
-        seed,
-        outputs,
-    )
+    runio.write_manifest(out_dir, config, __version__, time.perf_counter() - start, parsed["seed"], outputs)
     return outputs + ["manifest.json"]
 
 
@@ -553,15 +537,14 @@ def main(argv=None) -> int:
                 config = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
             raise ValidationError(f"cannot read config: {exc}") from exc
+        # the flags become part of the config, so that the manifest's hash covers
+        # them; a config that is not an object is rejected by run_experiment
+        flags = {"seed": args.seed, "paper_units": args.paper_units}
+        if isinstance(config, dict):
+            config = dict(config, **{key: value for key, value in flags.items() if value is not None})
         # held back, so that a failed run's stderr is one JSON object
         with warnings.catch_warnings(record=True) as caught:
-            run_experiment(
-                config,
-                args.out,
-                threads=args.threads,
-                seed_override=args.seed,
-                paper_units_override=args.paper_units,
-            )
+            run_experiment(config, args.out, threads=args.threads)
     except BildsimError as exc:
         code = 2 if isinstance(exc, ValidationError) else 3
         record = {"error": str(exc), "exit_code": code}

@@ -6,17 +6,10 @@ pass/fail lines; the same battery backs the CLI ``acceptance`` command.
 
 import pytest
 
-from bildsim import acceptance
-
-
-@pytest.fixture(scope="module")
-def results():
-    return {r.number: r for r in acceptance.run_all()}
-
 
 @pytest.mark.parametrize("number", range(1, 13))
-def test_criterion(results, number):
-    res = results[number]
+def test_criterion(acceptance_results, number):
+    res = acceptance_results[number]
     status = "PASS" if res.passed else "FAIL"
     print(f"[{status}] criterion {res.number}: {res.name} "
           f"({res.seconds:.1f}s) - {res.detail}")

