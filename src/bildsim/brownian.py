@@ -12,7 +12,6 @@ Their half-difference is the osmotic velocity, equal in law to
 -(T/gamma) d_x log P for stationary ensembles.
 """
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -34,6 +33,12 @@ _KDE_REACH = 40.0
 _KDE_NODES_PER_BANDWIDTH = 256
 _KDE_MAX_NODES = 2**22
 _KDE_BLOCK = 2**16
+
+# Fokker-Planck spectral gap of _polynomial_tau_x: grid nodes, and the reach of
+# the grid, U - U_min < 69 T, where the stationary density has fallen to
+# e^-69 (about 1e-30) of its peak
+_GAP_NODES = 4000
+_GAP_REACH = 69.0
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,16 @@ class Potential:
     @classmethod
     def from_dict(cls, obj: dict) -> "Potential":
         kind = obj.get("kind")
-        if kind == "free":
-            return cls.free()
+        if kind not in ("free", "harmonic", "polynomial"):
+            raise ValidationError(f"unknown potential kind {kind!r}")
+        for field, owner in (("spring_constants", "harmonic"), ("coefficients", "polynomial")):
+            if kind != owner and np.size(obj.get(field, ())):
+                raise ValidationError(f"{field} belong to a {owner} potential, not to a {kind} one")
         if kind == "harmonic":
             return cls.harmonic(obj.get("spring_constants", ()))
         if kind == "polynomial":
             return cls.polynomial(obj.get("coefficients", ()))
-        raise ValidationError(f"unknown potential kind {kind!r}")
+        return cls.free()
 
 
 @dataclass(frozen=True)
@@ -214,10 +222,18 @@ class TimescaleReport(NamedTuple):
 def timescale_report(config: LangevinConfig) -> TimescaleReport:
     """Momentum and position relaxation times and the regime classification.
 
-    tau_p = m/gamma always; tau_x = gamma/k for harmonic (slowest coordinate
-    is the binding one, so the minimum over particles is used), infinite for
-    free, and estimated from the position autocorrelation decay otherwise.
-    Overdamped means tau_x >= 100 tau_p.
+    tau_p = m/gamma always. tau_x depends on the potential alone:
+    - free: infinite;
+    - harmonic: gamma / max k, the stiffest coordinate, which binds both the
+      regime test and the overdamped step bound;
+    - polynomial: 1/lambda_1 from the Fokker-Planck spectral gap
+      (``_polynomial_tau_x``), the smallest over the particles' distinct
+      temperatures: again the fastest coordinate. It is infinite at T = 0,
+      for a potential that does not confine (degree below 2, odd degree or
+      a negative leading coefficient), and where the grid cannot resolve the
+      gap from the zero mode.
+    Overdamped means tau_x >= 100 tau_p. No integrator runs, so the report
+    does not depend on the seed, the trajectories or the time grid.
     """
     kind = config.potential.kind
     if kind == "free":
@@ -225,28 +241,65 @@ def timescale_report(config: LangevinConfig) -> TimescaleReport:
     elif kind == "harmonic":
         tau_x = config.gamma / max(config.potential.spring_constants)
     else:
-        tau_x = _estimate_tau_x(config)
+        tau_x = min(
+            _polynomial_tau_x(config.potential.coefficients, config.gamma, t)
+            for t in set(config.temperatures)
+        )
     overdamped = tau_x >= 100.0 * config.tau_p
     return TimescaleReport(config.tau_p, tau_x, overdamped, kind == "polynomial")
 
 
-def _estimate_tau_x(config: LangevinConfig) -> float:
-    """Autocorrelation-decay estimate of tau_x from a short overdamped run."""
-    probe = dataclasses.replace(
-        config, n_trajectories=min(config.n_trajectories, 2000), store_every=1
-    )
-    ens = integrate_overdamped(probe)
-    x = ens.x[:, :, 0]
-    x = x - x.mean()
-    var = np.mean(x * x)
-    if var <= 0:
+def _polynomial_tau_x(coefficients, gamma: float, temperature: float) -> float:
+    """tau_x = 1/lambda_1 of one coordinate in U = polynomial(coefficients),
+    with lambda_1 the smallest nonzero eigenvalue of the overdamped
+    Fokker-Planck operator (Risken 1989, ch. 5); infinite in the cases that
+    ``timescale_report`` lists.
+
+    The operator is discretised on 4000 uniform nodes over the range where
+    U - U_min < 69 T, with the Scharfetter-Gummel rates D/h^2 e^{-+dU/2T}
+    between neighbouring nodes (D = T/gamma). They obey detailed balance with
+    e^{-U/T}, so the generator is similar to a symmetric tridiagonal matrix
+    whose off-diagonal is -D/h^2. On U = x^2/2 this gives 1.0000043 gamma.
+    Rates that overflow, or a lambda_1 within 1e3 eps of the largest rate
+    sum, cannot be told from the zero mode. A well that double precision
+    cannot locate is a NumericalError.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    poly = np.polynomial.Polynomial(coefficients).trim()
+    degree = poly.degree()
+    if temperature == 0 or degree < 2 or degree % 2 or poly.coef[-1] < 0:
         return math.inf
-    # first lag where the autocorrelation drops below 1/e
-    for lag in range(1, ens.n_times):
-        acf = np.mean(x[:, :-lag] * x[:, lag:]) / var
-        if acf < 1.0 / math.e:
-            return lag * ens.dt_store
-    return math.inf
+    with np.errstate(all="ignore"):
+        try:
+            critical = poly.deriv().roots().real
+            # U(x_min + y) - U_min, centred so that U keeps its precision on the grid
+            well = poly(np.polynomial.Polynomial([critical[np.argmin(poly(critical))], 1.0]))
+            well = well - well.coef[0]
+            edges = (well - _GAP_REACH * temperature).roots()
+        except np.linalg.LinAlgError:  # coefficient ratios beyond double range
+            edges = np.array([])
+        # a double root comes out as a pair about sqrt(eps) apart: it counts as real
+        real = edges.real[np.abs(edges.imag) <= 1e-6 * np.abs(edges)]
+        lo, hi = real.min(initial=0.0), real.max(initial=0.0)
+        if not lo < 0.0 < hi:
+            raise NumericalError(
+                f"cannot locate the well of the polynomial potential at T={temperature:.3g} "
+                "in double precision"
+            )
+        y, h = np.linspace(lo, hi, _GAP_NODES, retstep=True)
+        du = np.diff(well(y)) / (2.0 * temperature)
+        # each node's rates out, in units of D/h^2: up and down its bonds
+        diag = np.zeros(_GAP_NODES)
+        diag[:-1] += np.exp(-du)
+        diag[1:] += np.exp(du)
+    resolution = 1e3 * np.finfo(float).eps * diag.max()
+    if not resolution < math.inf:
+        return math.inf
+    mu = eigh_tridiagonal(
+        diag, np.full(_GAP_NODES - 1, -1.0), eigvals_only=True, select="i", select_range=(0, 1)
+    )[1]
+    return float(gamma * h * h / (temperature * mu)) if mu > resolution else math.inf
 
 
 def _initial_state(start, stationary_variance, shape: tuple, rng) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bildsim import runio
+from bildsim import brownian, runio
 from bildsim.brownian import (
     LangevinConfig,
     MomentumResolutionResult,
@@ -157,17 +157,87 @@ class TestTimescaleReport:
         assert rep.tau_x == np.inf and rep.overdamped
 
     def test_polynomial_estimated(self):
+        # U = x^2/2 spelled as a polynomial: tau_x = gamma/k, although t_end
+        # is far shorter than tau_x
+        for friction in (1.0, 200.0):
+            config = harmonic_config(potential=Potential.polynomial([0.0, 0.0, 0.5]), x_init=0.0, friction=friction)
+            rep = timescale_report(config)
+            assert rep.tau_x_estimated
+            assert rep.tau_x == pytest.approx(friction, rel=1e-4)
+
+    def test_spellings_of_one_well_classify_alike(self):
+        reports = [
+            timescale_report(harmonic_config(potential=potential, x_init=0.0, friction=200.0))
+            for potential in (Potential.harmonic(1.0), Potential.polynomial([0.0, 0.0, 0.5]))
+        ]
+        assert reports[0].overdamped and reports[1].overdamped
+
+    def test_quartic_converged_on_the_grid(self, monkeypatch):
+        config = harmonic_config(potential=Potential.polynomial([0.0, 0.0, 0.0, 0.0, 1.0]), x_init=0.0)
+        coarse = timescale_report(config).tau_x
+        monkeypatch.setattr(brownian, "_GAP_NODES", 2 * brownian._GAP_NODES)
+        assert timescale_report(config).tau_x == pytest.approx(coarse, rel=1e-5)
+        assert coarse == pytest.approx(0.36534, rel=1e-4)
+
+    def test_double_well_kramers_time(self):
         config = harmonic_config(
-            potential=Potential.polynomial([0.0, 0.0, 0.5]),
-            x_init=0.0,
-            t_end=2.0,
-            dt=1e-2,
-            n_trajectories=500,
-            store_every=1,
+            potential=Potential.polynomial([0.0, 0.0, -0.5, 0.0, 0.25]), temperatures=(0.2,), x_init=0.0
+        )
+        tau_x = timescale_report(config).tau_x
+        assert tau_x == pytest.approx(7.4196, rel=1e-4)
+        # Kramers: tau_x = 1/(2 k), k = sqrt(U''(1) |U''(0)|) / (2 pi gamma) e^{-dU/T};
+        # a barrier of 1.25 T is low enough to leave a few per cent between them
+        kramers = np.pi / np.sqrt(2.0) * np.exp(0.25 / 0.2)
+        assert tau_x == pytest.approx(kramers, rel=0.05)
+
+    def test_smallest_tau_x_over_temperatures(self):
+        well = Potential.polynomial([0.0, 0.0, -0.5, 0.0, 0.25])
+        single = [
+            timescale_report(harmonic_config(potential=well, temperatures=(t,), x_init=0.0)).tau_x for t in (0.2, 1.0)
+        ]
+        config = harmonic_config(n_particles=3, potential=well, temperatures=(0.2, 1.0, 0.2), x_init=0.0)
+        assert timescale_report(config).tau_x == min(single) < max(single)
+
+    @pytest.mark.parametrize(
+        "coefficients,temperature",
+        [
+            ([0.0, 1.0], 1.0),
+            ([0.0, 0.0, 0.0, 0.0, -1.0], 1.0),
+            ([0.0, 0.0, 0.0], 1.0),
+            ([0.0, 0.0, 0.5], 0.0),
+            # Kramers time about e^83: below the grid's resolution of the zero mode
+            ([0.0, 0.0, -0.5, 0.0, 0.25], 0.003),
+        ],
+        ids=["linear", "negative-quartic", "all-zero", "zero-temperature", "unresolved-double-well"],
+    )
+    def test_infinite_tau_x(self, coefficients, temperature):
+        config = harmonic_config(
+            potential=Potential.polynomial(coefficients), temperatures=(temperature,), x_init=0.0
         )
         rep = timescale_report(config)
-        assert rep.tau_x_estimated
-        assert 0.1 < rep.tau_x < 10.0
+        assert rep.tau_x == np.inf and rep.overdamped
+
+    def test_report_ignores_the_run(self, monkeypatch):
+        def integrate(config):
+            raise AssertionError("timescale_report ran an integrator")
+
+        monkeypatch.setattr(brownian, "integrate_overdamped", integrate)
+        monkeypatch.setattr(brownian, "integrate_underdamped", integrate)
+        quartic = Potential.polynomial([0.0, 0.0, 0.5, 0.0, 0.25])
+        reports = [
+            timescale_report(harmonic_config(potential=quartic, **run))
+            for run in (
+                dict(seed=1, n_trajectories=10, t_end=0.05, dt=1e-3, store_every=1, x_init=0.0),
+                dict(seed=2, n_trajectories=3000, t_end=5.0, dt=1e-2, store_every=7, x_init=1.5),
+            )
+        ]
+        assert reports[0] == reports[1]
+
+    def test_potential_that_cannot_be_located_is_numerical_error(self):
+        # the leading coefficient's ratios to the others overflow
+        config = harmonic_config(potential=Potential.polynomial([0.0, 0.0, 1.0, 0.0, 1e-320]), x_init=0.0)
+        with pytest.raises(NumericalError, match="cannot locate"):
+            timescale_report(config)
 
 
 class TestUnderdamped:

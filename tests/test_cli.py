@@ -420,8 +420,28 @@ def test_malformed_config_exits_2(tmp_path, where, config):
         ({"command": "velocity-field", "params": dict(VELOCITY, bin_min=2.0)}, "params.bin_min"),
         # 50 stored steps where the run has 20
         ({"command": "velocity-field", "params": dict(VELOCITY, epsilon=0.05)}, "longer than the run"),
+        (
+            langevin_with(potential={"kind": "free", "spring_constants": [5], "coefficients": [0, 0, 3]}),
+            "spring_constants belong to a harmonic potential",
+        ),
+        (
+            langevin_with(potential={"kind": "harmonic", "spring_constants": [1], "coefficients": [0, 0, 3]}),
+            "coefficients belong to a polynomial potential",
+        ),
+        (
+            langevin_with(potential={"kind": "polynomial", "spring_constants": 5, "coefficients": [0, 0, 3]}),
+            "spring_constants belong to a harmonic potential",
+        ),
     ],
-    ids=["spring-count", "x_init", "bin-range", "epsilon-beyond-run"],
+    ids=[
+        "spring-count",
+        "x_init",
+        "bin-range",
+        "epsilon-beyond-run",
+        "free-fields",
+        "harmonic-coefficients",
+        "polynomial-springs",
+    ],
 )
 def test_invalid_langevin_model_exits_2(tmp_path, config, message):
     # the runner rejects these after --out a/b/c is created below the

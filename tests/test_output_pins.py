@@ -1,9 +1,9 @@
 """Every output of a fixed list of configs, pinned in ``tests/output_pins.json``.
 
 The configs cover every command, both trajectory writers (CSV and binary) and
-a polynomial potential whose tau_x is estimated. Each runs through
-``cli.run_experiment`` at ``threads`` 1 and 8; the two runs must agree with
-each other and with the pin. ``manifest.json`` records wall-clock time and is
+a polynomial potential, whose tau_x comes from the Fokker-Planck spectral
+gap. Each runs through ``cli.run_experiment`` at ``threads`` 1 and 8; the two
+runs must agree with each other and with the pin. ``manifest.json`` records wall-clock time and is
 not pinned. The acceptance battery's records, without ``seconds``, are pinned
 from the one run of the battery that the session shares with
 ``test_acceptance.py``.
@@ -20,6 +20,8 @@ made it.
 After a change that is meant to move outputs, rewrite the pin file with
 
     PYTHONPATH=src python tests/test_output_pins.py
+
+which prints the ``config/output`` entries whose pin it changed.
 """
 
 import hashlib
@@ -241,8 +243,27 @@ def test_acceptance_records(acceptance_results):
         assert_text_close(record["detail"], pin["detail"], 1e-14, where)
 
 
+def changed_pins(old, new):
+    """The ``config/output`` entries whose pin differs between two pin records."""
+    names = sorted((set(old) | set(new)) - {"made_with"})
+    return [
+        f"{name}/{output}"
+        for name in names
+        for output in sorted(set(old.get(name, {})) | set(new.get(name, {})))
+        if old.get(name, {}).get(output) != new.get(name, {}).get(output)
+    ]
+
+
+def test_changed_pins_names_each_moved_output():
+    old = {"made_with": {"numpy": "1"}, "a": {"x.csv": 1, "y.json": 2}, "gone": {"z.csv": 3}}
+    new = {"made_with": {"numpy": "2"}, "a": {"x.csv": 1, "y.json": 4}, "b": {"w.bin": 5}}
+    assert changed_pins(old, new) == ["a/y.json", "b/w.bin", "gone/z.csv"]
+
+
 def write_pins():
-    """Rewrite the pin file from this checkout's outputs."""
+    """Rewrite the pin file from this checkout's outputs; return the
+    ``config/output`` entries whose pin changed against the file replaced."""
+    old = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {}
     record = {"made_with": {"numpy": np.__version__, "blas": blas_name()}}
     with tempfile.TemporaryDirectory() as tmp:
         for name, config in CONFIGS.items():
@@ -251,7 +272,9 @@ def write_pins():
             record[name] = pin_outputs(config["command"], out)
     record["acceptance"] = {"acceptance.json": {"records": acceptance_records(acceptance.run_all())}}
     PINS_PATH.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    return changed_pins(old, record)
 
 
 if __name__ == "__main__":
-    write_pins()
+    changed = write_pins()
+    print(f"{len(changed)} pins changed" + "".join(f"\n  {entry}" for entry in changed))
