@@ -12,6 +12,7 @@ Their half-difference is the osmotic velocity, equal in law to
 -(T/gamma) d_x log P for stationary ensembles.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -72,6 +73,11 @@ class Potential:
             raise ValidationError("polynomial potential needs coefficients")
         return cls(kind="polynomial", coefficients=cs)
 
+    @functools.cached_property
+    def _derivative(self) -> np.polynomial.Polynomial:
+        """dU/dx of a polynomial potential, built once per Potential."""
+        return np.polynomial.Polynomial(self.coefficients).deriv()
+
     def force(self, x: np.ndarray) -> np.ndarray:
         """-dU/dx_i, same shape as x; a single spring constant acts on every particle."""
         x = np.asarray(x, dtype=float)
@@ -79,8 +85,7 @@ class Potential:
             return np.zeros_like(x)
         if self.kind == "harmonic":
             return -np.asarray(self.spring_constants) * x
-        deriv = np.polynomial.Polynomial(self.coefficients).deriv()
-        return -deriv(x)
+        return -self._derivative(x)
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}

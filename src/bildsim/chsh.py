@@ -20,6 +20,15 @@ from .errors import DimensionMismatchError, ValidationError, check_memory
 PAIR_NAMES = ("A1B1", "A1B2", "A2B1", "A2B2", "A1A2", "B1B2")
 _COLUMNS = {"A1": 0, "A2": 1, "B1": 2, "B2": 3}
 
+# records per block of the hidden-variable draw, and the bytes that the memory
+# estimate allows beside the outcomes and one block: the generator, the
+# directions and the array headers (under 4 KiB, tracemalloc)
+_BLOCK = 2**14
+_SMALL_BYTES = 2**16
+
+# values of a1 per slab of chsh_grid_max's grid: 16 x 61^3 float64, 29 MB
+_GRID_SLAB = 16
+
 # Quantum-optimal settings for the singlet state.
 OPTIMAL_ANGLES = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
 
@@ -86,14 +95,22 @@ def chsh_value(rho: np.ndarray, angles: ChshAngles) -> float | np.ndarray:
 def chsh_grid_max(rho: np.ndarray) -> tuple[float, ChshAngles]:
     """Maximum |S| over 61 uniform angles in [-pi, pi], with the attaining settings.
 
-    S is broadcast over a 4-D grid with one axis per angle (a1, a2, b1, b2);
-    each correlation it sums varies along two of the axes only.
+    S is broadcast over a 4-D grid with one axis per angle (a1, a2, b1, b2),
+    _GRID_SLAB values of a1 at a time; each correlation it sums varies along
+    two of the axes only. Ties go to the first settings in grid order, as in
+    one argmax over the whole grid.
     """
     t = np.linspace(-np.pi, np.pi, 61)
-    s = chsh_value(rho, ChshAngles(t[:, None, None, None], t[None, :, None, None], t[:, None], t))
-    np.abs(s, out=s)
-    i1, i2, j1, j2 = np.unravel_index(np.argmax(s), s.shape)
-    return float(s[i1, i2, j1, j2]), ChshAngles(t[i1], t[i2], t[j1], t[j2])
+    best, at = -1.0, None
+    for lo in range(0, t.size, _GRID_SLAB):
+        slab = ChshAngles(t[lo : lo + _GRID_SLAB, None, None, None], t[:, None, None], t[:, None], t)
+        s = chsh_value(rho, slab)
+        np.abs(s, out=s)
+        k = np.argmax(s)
+        if s.flat[k] > best:
+            i1, i2, j1, j2 = np.unravel_index(k, s.shape)
+            best, at = float(s.flat[k]), ChshAngles(t[lo + i1], t[i2], t[j1], t[j2])
+    return best, at
 
 
 def compatibility_audit(angles: ChshAngles) -> dict:
@@ -157,21 +174,35 @@ class OutcomeStream:
 
 
 def hv_sample(strategy: HvStrategy, n: int, seed: int) -> OutcomeStream:
-    """Evaluate all four responses on n independent lambda draws."""
+    """Evaluate all four responses on n independent lambda draws.
+
+    lambda is drawn _BLOCK records at a time from one Philox stream, which
+    continues across blocks, so the outcomes do not depend on the block size.
+    """
     if n < 1:
         raise ValidationError("need at least one record")
-    # bytes per record: the four int8 outcomes; sphere_sign also allocates
-    # lambda (3 float64), its four projections (4 float64) and their sign mask
-    # (4 bool), and peaks at 60 of these 64 (tracemalloc, n = 4e6)
-    check_memory(n * (4 if strategy.kind == "constant" else 4 + 24 + 32 + 4), "the outcome stream")
+    # the four int8 outcomes per record; sphere_sign also reuses one block of
+    # lambda (3 float64) and its four projections (4 float64)
+    block_bytes = 0 if strategy.kind == "constant" else 56 * _BLOCK + _SMALL_BYTES
+    check_memory(4 * n + block_bytes, "the outcome stream")
     if strategy.kind == "constant":
         out = np.tile(np.array(strategy.constants, dtype=np.int8), (n, 1))
         return OutcomeStream(outcomes=out, seed=seed, strategy=strategy.describe())
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-    lam = rng.standard_normal((n, 3))
     # sign(lambda . n) does not depend on |lambda|, so lambda is not normalised
     directions = np.array([[np.sin(t), 0.0, np.cos(t)] for t in strategy.angles.as_tuple()]).T
-    out = np.where(lam @ directions >= 0.0, np.int8(1), np.int8(-1))
+    out = np.empty((n, 4), dtype=np.int8)
+    lam = np.empty((min(n, _BLOCK), 3))
+    projections = np.empty((min(n, _BLOCK), 4))
+    for start in range(0, n, _BLOCK):
+        rows = out[start : start + _BLOCK]
+        block = lam[: len(rows)]
+        rng.standard_normal(out=block)
+        proj = np.matmul(block, directions, out=projections[: len(rows)])
+        # 1 where lambda . n >= 0 and 0 elsewhere, written as bool bytes, then 2 s - 1
+        np.greater_equal(proj, 0.0, out=rows.view(np.bool_))
+        rows *= 2
+        rows -= 1
     return OutcomeStream(outcomes=out, seed=seed, strategy=strategy.describe())
 
 

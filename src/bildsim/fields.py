@@ -20,6 +20,13 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, ValidationError, check_memory
 
+# samples per block of the sampler and of the form evaluation, and the bytes
+# that a memory estimate allows beside the arrays of n samples and of one
+# block: the generator, the 2d x 2d matrices and the array headers (under
+# 6 KiB at d = 5, tracemalloc)
+_BLOCK = 2**14
+_SMALL_BYTES = 2**16
+
 
 @dataclass(frozen=True)
 class FieldMeasure:
@@ -85,27 +92,48 @@ def _covariance_factor(cov: np.ndarray) -> np.ndarray:
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """The real matrix of phi -> phi m on the interleaved (Re, Im) floats of phi.
+
+    R[j, a, k, b] takes part a of phi_j to part b of (phi m)_k, part 0 being
+    the real one, so x R.reshape(2d, 2d) is the float view of phi m.
+    """
+    d = m.shape[0]
+    r = np.empty((d, 2, d, 2))
+    r[:, 0, :, 0] = r[:, 1, :, 1] = m.real
+    r[:, 0, :, 1] = m.imag
+    r[:, 1, :, 0] = -m.imag
+    return r
+
+
 def sample_fields(measure: FieldMeasure, n: int, seed: int) -> np.ndarray:
     """Draw n field samples, returned as an (n, d) complex array.
 
     phi = L z with B = L L* and z i.i.d. standard circular complex Gaussian
     (real and imaginary parts independent N(0, 1/2)), so E[phi phi*] = B.
-    The normals are drawn as one (n, 2d) block, real parts first, and mapped
-    to phi by one real product with the embedding E of sqrt(1/2) L^T, whose
-    columns give the interleaved (Re phi_j, Im phi_j) of complex128 memory.
+    Each sample takes 2d normals, real parts first, from one Philox stream.
+    Blocks of _BLOCK samples are drawn into one reused buffer and mapped
+    straight into their rows of phi by one real product with the embedding E
+    of sqrt(1/2) L^T, whose columns give the interleaved (Re phi_j, Im phi_j).
+    The stream continues across blocks, so phi does not depend on the block size.
     """
     if n < 1:
         raise ValidationError("need at least one sample")
     d = measure.dim
-    # the normals z and phi, 16 bytes per sample and component each
-    check_memory(32 * n * d, "the field samples")
+    # phi, 16 bytes per sample and component, and one block of normals
+    check_memory(16 * d * (n + _BLOCK) + _SMALL_BYTES, "the field samples")
     m = np.sqrt(0.5) * _covariance_factor(measure.covariance).T
-    embedding = np.stack(
-        [np.concatenate([m.real, -m.imag]), np.concatenate([m.imag, m.real])], axis=-1
-    ).reshape(2 * d, 2 * d)
+    embedding = _real_form(m).transpose(1, 0, 2, 3).reshape(2 * d, 2 * d)
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-    z = rng.standard_normal((n, 2 * d))
-    return (z @ embedding).view(np.complex128)
+    phi = np.empty((n, d), dtype=np.complex128)
+    x = phi.view(np.float64)
+    z = np.empty((min(n, _BLOCK), 2 * d))
+    for start in range(0, n, _BLOCK):
+        rows = x[start : start + _BLOCK]
+        block = z[: len(rows)]
+        rng.standard_normal(out=block)
+        np.matmul(block, embedding, out=rows)
+    return phi
 
 
 def _check_dims(measure: FieldMeasure, *variables: QuadraticVariable) -> None:
@@ -122,23 +150,38 @@ def exact_average(variable: QuadraticVariable, measure: FieldMeasure) -> float:
     return linalg.trace_product(variable.kernel, measure.covariance)
 
 
-def _evaluate_batch(variable: QuadraticVariable, samples: np.ndarray) -> np.ndarray:
-    """Re<phi|A phi> per sample: the real dot product of phi and A phi as (Re, Im) pairs."""
-    a_phi = samples @ variable.kernel.T
-    return np.einsum("nk,nk->n", samples.view(np.float64), a_phi.view(np.float64))
+def _form_values(variables, samples: np.ndarray) -> np.ndarray:
+    """Per sample, the product of Re<phi|A phi> over the kernels A of ``variables``.
+
+    Each A acts through S, the real form of phi -> A phi, which is symmetric
+    because A is Hermitian: Re<phi|A phi> = x S x^T on phi's interleaved float
+    view x. The forms are evaluated _BLOCK samples at a time, and each block's
+    values are multiplied in place.
+    """
+    n, d = samples.shape
+    x = samples.view(np.float64)
+    forms = [_real_form(v.kernel.T).reshape(2 * d, 2 * d) for v in variables]
+    vals = np.empty(n)
+    x_s = np.empty((min(n, _BLOCK), 2 * d))
+    for start in range(0, n, _BLOCK):
+        rows = x[start : start + _BLOCK]
+        block_vals = vals[start : start + len(rows)]
+        products = x_s[: len(rows)]
+        np.einsum("nk,nk->n", rows, np.matmul(rows, forms[0], out=products), out=block_vals)
+        for form in forms[1:]:
+            block_vals *= np.einsum("nk,nk->n", rows, np.matmul(rows, form, out=products))
+    return vals
 
 
 def _monte_carlo(variables, measure: FieldMeasure, n: int, seed: int) -> MonteCarloEstimate:
     """Mean and standard error of the product of ``variables`` over n samples."""
     if n < 2:
         raise ValidationError("Monte Carlo estimate needs n >= 2")
-    # the peak holds phi and A phi, 16 bytes per sample and component each, and
-    # two value vectors of 8 bytes per sample (tracemalloc: 32 d + 16 B/sample)
-    check_memory(n * (32 * measure.dim + 16), "the Monte Carlo estimate")
-    samples = sample_fields(measure, n, seed)
-    vals = _evaluate_batch(variables[0], samples)
-    for variable in variables[1:]:
-        vals = vals * _evaluate_batch(variable, samples)
+    # phi, 16 bytes per sample and component, and the values, 8 bytes per
+    # sample; one block of x S and its row sums, the same per row
+    check_memory((16 * measure.dim + 8) * (n + _BLOCK) + _SMALL_BYTES, "the Monte Carlo estimate")
+    # phi is freed before the statistics, whose temporary is the values' size
+    vals = _form_values(variables, sample_fields(measure, n, seed))
     return MonteCarloEstimate(
         mean=float(vals.mean()),
         std_error=float(vals.std(ddof=1) / np.sqrt(n)),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,19 @@ class TestChshValue:
             grid_max, _ = chsh.chsh_grid_max(rho)
             assert np.cos(np.pi / 60) ** 2 * bound <= grid_max <= bound + 1e-12
 
+    def test_grid_maximum_matches_one_broadcast(self):
+        # the slabs against S over the whole 61^4 grid at once: equal maximum
+        # and, among equal values, the same first settings in grid order
+        rng = np.random.default_rng(15)
+        t = np.linspace(-np.pi, np.pi, 61)
+        for rho in [chsh.singlet_state()] + [random_density(rng) for _ in range(2)]:
+            grid = chsh.ChshAngles(t[:, None, None, None], t[:, None, None], t[:, None], t)
+            s = np.abs(chsh.chsh_value(rho, grid))
+            i1, i2, j1, j2 = np.unravel_index(np.argmax(s), s.shape)
+            grid_max, best = chsh.chsh_grid_max(rho)
+            assert grid_max == s[i1, i2, j1, j2]
+            assert best.as_tuple() == (t[i1], t[i2], t[j1], t[j2])
+
     def test_degeneracy_guard(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -189,6 +204,28 @@ class TestHvSample:
         a = chsh.hv_sample(chsh.HvStrategy(), 5000, 5)
         b = chsh.hv_sample(chsh.HvStrategy(), 5000, 5)
         np.testing.assert_array_equal(a.outcomes, b.outcomes)
+
+    @pytest.mark.parametrize("n", [1000, chsh._BLOCK, 3 * chsh._BLOCK + 17])
+    def test_blocks_match_one_shot_draw(self, n):
+        angles = chsh.ChshAngles(0.3, -1.2, 2.0, np.pi / 2)
+        lam = np.random.Generator(np.random.Philox(np.uint64(12))).standard_normal((n, 3))
+        directions = np.array([[np.sin(t), 0.0, np.cos(t)] for t in angles.as_tuple()]).T
+        expected = np.where(lam @ directions >= 0.0, np.int8(1), np.int8(-1))
+        got = chsh.hv_sample(chsh.HvStrategy(angles=angles), n, 12).outcomes
+        assert got.dtype == np.int8 and got.shape == (n, 4)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_peak_within_memory_estimate(self, monkeypatch):
+        n = 3 * chsh._BLOCK + 17
+        estimates = []
+        monkeypatch.setattr(chsh, "check_memory", lambda nbytes, what: estimates.append(nbytes))
+        tracemalloc.start()
+        try:
+            chsh.hv_sample(chsh.HvStrategy(), n, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4 * n < peak <= estimates[0]
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValidationError):

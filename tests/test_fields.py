@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,13 +73,17 @@ def reference_values(samples, variable):
     return np.einsum("ni,ij,nj->n", samples.conj(), variable.kernel, samples).real
 
 
+# two full blocks and a partial one
+BLOCKS_N = 2 * fields._BLOCK + 17
+
+
 class TestReferenceFormulas:
     """The sampler and the evaluator against the complex formulas they replace."""
 
     @pytest.mark.parametrize("d,rank", REFERENCE_CASES)
     def test_sample_fields_matches_complex_product(self, d, rank):
         _, measure = reference_measure(d, rank, 20 + d)
-        n, seed = 2000, 21
+        n, seed = BLOCKS_N, 21
         w, v = np.linalg.eigh(measure.covariance)
         factor = v * np.sqrt(np.clip(w, 0.0, None))
         z = np.random.Generator(np.random.Philox(np.uint64(seed))).standard_normal((n, 2 * d))
@@ -91,7 +97,7 @@ class TestReferenceFormulas:
         rng, measure = reference_measure(d, rank, 30 + d)
         v = fields.QuadraticVariable(random_hermitian(rng, d))
         w = fields.QuadraticVariable(random_hermitian(rng, d))
-        n, seed = 2000, 31
+        n, seed = BLOCKS_N, 31
         samples = fields.sample_fields(measure, n, seed)
         f, g = reference_values(samples, v), reference_values(samples, w)
         estimates = [
@@ -101,6 +107,26 @@ class TestReferenceFormulas:
         for est, vals in estimates:
             assert abs(est.mean - vals.mean()) <= 1e-13 * np.mean(np.abs(vals))
             assert est.std_error == pytest.approx(vals.std(ddof=1) / np.sqrt(n), rel=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_monte_carlo_peak_within_memory_estimate(self, d, monkeypatch):
+        rng, measure = reference_measure(d, d, 40 + d)
+        v = fields.QuadraticVariable(random_hermitian(rng, d))
+        w = fields.QuadraticVariable(random_hermitian(rng, d))
+        estimates = {}
+
+        def record(nbytes, what):
+            estimates.setdefault(what, nbytes)
+
+        monkeypatch.setattr(fields, "check_memory", record)
+        tracemalloc.start()
+        try:
+            fields.mc_pair_correlation(v, w, measure, BLOCKS_N, 41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # phi and the values alone take (16 d + 8) B per sample
+        assert (16 * d + 8) * BLOCKS_N < peak <= estimates["the Monte Carlo estimate"]
 
 
 def point_measure(phi):

@@ -9,7 +9,7 @@ from the one run of the battery that the session shares with
 ``test_acceptance.py``.
 
 The numbers of the pcsft files pass through BLAS products (``z @ E``,
-``phi @ A.T``), and so does the osmotic oracle (``w @ d``); the last bits of
+``x @ S``), and so does the osmotic oracle (``w @ d``); the last bits of
 a product can depend on the CPU's BLAS kernel. Those files and the
 acceptance details are pinned as text: the text between the numbers must
 match exactly, and the numbers to 1e-13 relative. Every other file is pinned
