@@ -332,18 +332,24 @@ _CRITERIA = [
 def run_all(numbers=None) -> list[CriterionResult]:
     """Run the battery (optionally a subset), timing each criterion.
 
-    Criteria 9 and 10 share the expensive stationary-oscillator ensemble.
+    Criteria 9 and 10 share the expensive stationary-oscillator ensemble. It
+    is integrated just before the first of them that runs and dropped after
+    the last, outside either criterion's time, so no other criterion's
+    arrays stack on it.
     """
     selected = set(numbers or range(1, 13))
+    users = sorted({9, 10} & selected)
     shared = None
-    if {9, 10} & selected:
-        shared = integrate_overdamped(_langevin(t_end=0.12, n_trajectories=120_000, seed=7878))
     results = []
     for number, func in enumerate(_CRITERIA, start=1):
         if number not in selected:
             continue
+        if users and number == users[0]:
+            shared = integrate_overdamped(_langevin(t_end=0.12, n_trajectories=120_000, seed=7878))
         start = time.perf_counter()
-        res = func(shared) if number in (9, 10) else func()
+        res = func(shared) if number in users else func()
         res.seconds = time.perf_counter() - start
         results.append(res)
+        if users and number == users[-1]:
+            shared = None
     return results

@@ -28,6 +28,9 @@ DEFAULT_MIN_BIN_COUNT = 200
 # acceptance criterion needs about 1e8
 _MAX_PARTICLE_STEPS = 10**12
 
+# trajectories per block of coarse_velocities, as fields' and chsh's _BLOCK
+_BLOCK = 2**14
+
 # binned KDE of log_density_gradient: kernel cut in bandwidths, grid nodes
 # per bandwidth, most grid nodes, samples binned per pass
 _KDE_REACH = 40.0
@@ -452,30 +455,37 @@ def _epsilon_steps(ensemble: TrajectoryEnsemble, epsilon: float) -> int:
     return k
 
 
-def _lattice_steps(
-    ensemble: TrajectoryEnsemble, lattice: slice, epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Particle-0 positions at the stored times ``lattice``, C-contiguous
-    (trajectory, lattice time), and ``steps``: the displacement of each
-    window between neighbouring lattice times, divided by epsilon.
+def _lattice_blocks(ensemble: TrajectoryEnsemble, lattice: slice, epsilon: float, block: int):
+    """Per block of ``block`` trajectories, in order: their particle-0
+    positions at the stored times ``lattice``, C-contiguous (trajectory,
+    lattice time), and ``steps``, the displacement of each window between
+    neighbouring lattice times, divided by epsilon.
 
     ``steps`` is flat: a zero, then per trajectory its windows in order and
     another zero. Read as (trajectory, lattice time), ``steps[1:]`` puts each
     window at the time where it starts and ``steps[:-1]`` at the time where
-    it ends, so one array serves both without a copy. The estimators'
-    working set, at most 40 bytes per trajectory and lattice time, is
+    it ends, so one array serves both without a copy. Both arrays are
+    allocated once and refilled for each block, so a block's pair is valid
+    only until the next is drawn. The estimators' working
+    set, at most 40 bytes per trajectory and lattice time of one block, is
     checked against physical memory before anything is allocated.
     """
-    n_lattice = len(range(*lattice.indices(ensemble.n_times)))
     n_trajectories = ensemble.x.shape[0]
-    check_memory(40 * n_trajectories * n_lattice, "the velocity estimator's working set")
-    # a lattice time of time-major memory is one contiguous row; the copy
-    # transposes them into trajectory-major order once
-    pos = np.ascontiguousarray(ensemble.x[:, lattice, 0])
-    steps = np.zeros(n_trajectories * n_lattice + 1)
-    np.subtract(pos[:, 1:], pos[:, :-1], out=steps[1:].reshape(pos.shape)[:, :-1])
-    steps /= epsilon
-    return pos, steps
+    n_lattice = len(range(*lattice.indices(ensemble.n_times)))
+    rows = min(n_trajectories, block)
+    check_memory(40 * rows * n_lattice, "the velocity estimator's working set")
+    pos_buffer = np.empty((rows, n_lattice))
+    steps_buffer = np.zeros(rows * n_lattice + 1)
+    for start in range(0, n_trajectories, block):
+        pos = pos_buffer[: n_trajectories - start]
+        # a lattice time of time-major memory is one contiguous row; the copy
+        # transposes them into trajectory-major order
+        np.copyto(pos, ensemble.x[start : start + block, lattice, 0])
+        # the zero padding sits at the same places in every block
+        steps = steps_buffer[: pos.size + 1]
+        np.subtract(pos[:, 1:], pos[:, :-1], out=steps[1:].reshape(pos.shape)[:, :-1])
+        steps /= epsilon
+        yield pos, steps
 
 
 def _binned_velocity(
@@ -519,7 +529,9 @@ def coarse_velocities(
     full window on each side of it: v_plus then takes the window after it
     and v_minus the window before it.
 
-    Each bin's sums add its windows in trajectory order, then in time order.
+    The trajectories are binned in blocks of 2^14. Each bin's sums add its
+    windows in trajectory order, then in time order, across the blocks as
+    within one, so no output depends on the block size.
     """
     k = _epsilon_steps(ensemble, epsilon)
     edges = np.asarray(bin_edges, dtype=float)
@@ -532,26 +544,37 @@ def coarse_velocities(
                 f"within {ensemble.n_times} stored times"
             )
         lattice = slice(t_index - k, t_index + k + 1, k)
-    pos, steps = _lattice_steps(ensemble, lattice, epsilon)
-    # digitize's 0 (below the edges) and n_bins + 1 (at or above the last
-    # edge, or nan) index two bins that are dropped
-    idx = np.digitize(pos, edges)
-    if t_index is not None:
-        # only t_index anchors: the outer lattice times go to a dropped bin
-        idx[:, [0, -1]] = 0
-    steps_sq = steps * steps
     n_bins = edges.size - 1
-    flat = idx.ravel()
-    occupancy = np.bincount(flat, minlength=n_bins + 2)
-    estimates = []
-    # a trajectory's last lattice time starts no window and its first ends
-    # none; their steps are the zero padding, which leaves every sum as it was
-    for weights, squares, idle in ((steps[1:], steps_sq[1:], idx[:, -1]), (steps[:-1], steps_sq[:-1], idx[:, 0])):
-        counts = occupancy - np.bincount(idle, minlength=n_bins + 2)
-        sums = np.bincount(flat, weights, n_bins + 2)
-        sq = np.bincount(flat, squares, n_bins + 2)
-        estimates.append(_binned_velocity(counts[1:-1], sums[1:-1], sq[1:-1], edges, epsilon, min_count))
-    v_plus, v_minus = estimates
+    occupancy = np.zeros(n_bins + 2, dtype=np.intp)
+    # per direction, v_plus then v_minus: the bin counts of the lattice times
+    # that start (end) no window, and the running sums of the steps and of
+    # their squares
+    idle = np.zeros((2, n_bins + 2), dtype=np.intp)
+    sums = np.zeros((2, n_bins + 2))
+    sq = np.zeros((2, n_bins + 2))
+    for pos, steps in _lattice_blocks(ensemble, lattice, epsilon, _BLOCK):
+        # digitize's 0 (below the edges) and n_bins + 1 (at or above the last
+        # edge, or nan) index two bins that are dropped
+        idx = np.digitize(pos, edges)
+        if t_index is not None:
+            # only t_index anchors: the outer lattice times go to a dropped bin
+            idx[:, [0, -1]] = 0
+        steps_sq = steps * steps
+        flat = idx.ravel()
+        occupancy += np.bincount(flat, minlength=n_bins + 2)
+        # a trajectory's last lattice time starts no window and its first ends
+        # none; their steps are the zero padding, which leaves every sum as it
+        # was. add.at adds in input order, as one bincount over all blocks would.
+        for d, (window, edge) in enumerate(((slice(1, None), -1), (slice(None, -1), 0))):
+            idle[d] += np.bincount(idx[:, edge], minlength=n_bins + 2)
+            np.add.at(sums[d], flat, steps[window])
+            np.add.at(sq[d], flat, steps_sq[window])
+        # freed before the next block's are made, so that they do not stack
+        del steps_sq, idx, flat
+    v_plus, v_minus = (
+        _binned_velocity((occupancy - idle[d])[1:-1], sums[d, 1:-1], sq[d, 1:-1], edges, epsilon, min_count)
+        for d in range(2)
+    )
     return v_plus, v_minus
 
 
@@ -621,7 +644,8 @@ def momentum_resolution_check(
         )
     k = _epsilon_steps(ensemble, epsilon)
     lattice = slice(0, ensemble.n_times, k)
-    pos, steps = _lattice_steps(ensemble, lattice, epsilon)
+    # every trajectory in one block
+    pos, steps = next(_lattice_blocks(ensemble, lattice, epsilon, ensemble.x.shape[0]))
     disp = steps[1:].reshape(pos.shape)[:, :-1]
     # anchors are the inner lattice times: window j + 1 leaves anchor j and
     # window j arrives there

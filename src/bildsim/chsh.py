@@ -64,32 +64,49 @@ def singlet_state() -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _zx_tensor(rho: np.ndarray) -> tuple:
+    """rho validated, and its z/x correlation tensor T_ij = Tr(rho s_i (x) s_j),
+    s = (sigma_z, sigma_x), as (T_zz, T_zx, T_xz, T_xx)."""
+    r = linalg.check_density(rho)
+    if r.shape != (4, 4):
+        raise DimensionMismatchError("two-qubit state must be 4x4")
+    zx = (linalg.SIGMA_Z, linalg.SIGMA_X)
+    return tuple(linalg.trace_product(r, linalg.tensor_product(i, j)) for i in zx for j in zx)
+
+
+def _correlation(t: tuple, theta_a, theta_b) -> np.ndarray:
+    """E = (cos a, sin a) T (cos b, sin b)^T from the tensor of ``_zx_tensor``, checked and clipped to [-1, 1]."""
+    tzz, tzx, txz, txx = t
+    ca, sa, cb, sb = np.cos(theta_a), np.sin(theta_a), np.cos(theta_b), np.sin(theta_b)
+    val = ca * cb * tzz + ca * sb * tzx + sa * cb * txz + sa * sb * txx
+    if not np.all(np.abs(val) <= 1.0 + 1e-10):
+        raise ValidationError(f"correlation of magnitude {np.max(np.abs(val))} outside [-1, 1]")
+    return np.clip(val, -1.0, 1.0)
+
+
+def _chsh(t: tuple, angles: ChshAngles) -> np.ndarray:
+    """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2) from the tensor of ``_zx_tensor``."""
+    a1, a2, b1, b2 = angles.as_tuple()
+    s = _correlation(t, a1, b1) + _correlation(t, a1, b2) + _correlation(t, a2, b1)
+    # in place: those three terms span all four angles, so no second array of S's size is made
+    s -= _correlation(t, a2, b2)
+    return s
+
+
 def quantum_correlation(rho: np.ndarray, theta_a, theta_b) -> float | np.ndarray:
     """Correlation Tr(rho A(theta_a) (x) B(theta_b)) in [-1, 1], a float for two scalar angles.
 
     Arrays of angles broadcast: E = (cos a, sin a) T (cos b, sin b)^T, with rho validated and its
     z/x correlation tensor T_ij = Tr(rho s_i (x) s_j), s = (sigma_z, sigma_x), built once per call.
     """
-    r = linalg.check_density(rho)
-    if r.shape != (4, 4):
-        raise DimensionMismatchError("two-qubit state must be 4x4")
-    zx = (linalg.SIGMA_Z, linalg.SIGMA_X)
-    (tzz, tzx), (txz, txx) = [[linalg.trace_product(r, linalg.tensor_product(i, j)) for j in zx] for i in zx]
-    ca, sa, cb, sb = np.cos(theta_a), np.sin(theta_a), np.cos(theta_b), np.sin(theta_b)
-    val = ca * cb * tzz + ca * sb * tzx + sa * cb * txz + sa * sb * txx
-    if not np.all(np.abs(val) <= 1.0 + 1e-10):
-        raise ValidationError(f"correlation of magnitude {np.max(np.abs(val))} outside [-1, 1]")
-    val = np.clip(val, -1.0, 1.0)
+    val = _correlation(_zx_tensor(rho), theta_a, theta_b)
     return float(val) if np.ndim(val) == 0 else val
 
 
 def chsh_value(rho: np.ndarray, angles: ChshAngles) -> float | np.ndarray:
-    """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2), broadcast over the angles."""
-    a1, a2, b1, b2 = angles.as_tuple()
-    s = quantum_correlation(rho, a1, b1) + quantum_correlation(rho, a1, b2) + quantum_correlation(rho, a2, b1)
-    # in place: those three terms span all four angles, so no second array of S's size is made
-    s -= quantum_correlation(rho, a2, b2)
-    return s
+    """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2), broadcast over the angles; rho is validated once."""
+    s = _chsh(_zx_tensor(rho), angles)
+    return float(s) if np.ndim(s) == 0 else s
 
 
 def chsh_grid_max(rho: np.ndarray) -> tuple[float, ChshAngles]:
@@ -97,14 +114,15 @@ def chsh_grid_max(rho: np.ndarray) -> tuple[float, ChshAngles]:
 
     S is broadcast over a 4-D grid with one axis per angle (a1, a2, b1, b2),
     _GRID_SLAB values of a1 at a time; each correlation it sums varies along
-    two of the axes only. Ties go to the first settings in grid order, as in
-    one argmax over the whole grid.
+    two of the axes only. rho is validated once for all slabs. Ties go to the
+    first settings in grid order, as in one argmax over the whole grid.
     """
+    tensor = _zx_tensor(rho)
     t = np.linspace(-np.pi, np.pi, 61)
     best, at = -1.0, None
     for lo in range(0, t.size, _GRID_SLAB):
         slab = ChshAngles(t[lo : lo + _GRID_SLAB, None, None, None], t[:, None, None], t[:, None], t)
-        s = chsh_value(rho, slab)
+        s = _chsh(tensor, slab)
         np.abs(s, out=s)
         k = np.argmax(s)
         if s.flat[k] > best:

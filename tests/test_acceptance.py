@@ -4,7 +4,11 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines; the same battery backs the CLI ``acceptance`` command.
 """
 
+import weakref
+
 import pytest
+
+from bildsim import acceptance
 
 
 @pytest.mark.parametrize("number", range(1, 13))
@@ -14,3 +18,37 @@ def test_criterion(acceptance_results, number):
     print(f"[{status}] criterion {res.number}: {res.name} "
           f"({res.seconds:.1f}s) - {res.detail}")
     assert res.passed, f"criterion {res.number} ({res.name}): {res.detail}"
+
+
+class _Ensemble:
+    """Stands in for the shared ensemble; a weak reference tells whether it lives."""
+
+
+@pytest.mark.parametrize("numbers,builds", [([9, 10], 1), ([10], 1), ([1, 11], 0), (None, 1)])
+def test_shared_ensemble_lives_only_through_criteria_9_and_10(monkeypatch, numbers, builds):
+    built = []
+
+    def integrate(config):
+        assert config.seed == 7878
+        ens = _Ensemble()
+        built.append(weakref.ref(ens))
+        return ens
+
+    def stub(number):
+        def criterion(*ens):
+            if number < 9:
+                assert not built
+            elif number in (9, 10):
+                assert ens == (built[-1](),)
+            else:
+                assert all(ref() is None for ref in built)
+            return acceptance._result(number, "stub", True, "")
+
+        return criterion
+
+    monkeypatch.setattr(acceptance, "integrate_overdamped", integrate)
+    monkeypatch.setattr(acceptance, "_CRITERIA", [stub(n) for n in range(1, 13)])
+    results = acceptance.run_all(numbers)
+    assert [r.number for r in results] == sorted(numbers or range(1, 13))
+    assert len(built) == builds
+    assert all(ref() is None for ref in built)

@@ -571,9 +571,16 @@ class TestCoarseVelocities:
 
     @pytest.mark.parametrize("estimator", ["coarse_velocities", "momentum_resolution_check"])
     def test_working_set_beyond_physical_memory_rejected(self, estimator):
-        # zero strides: 10^15 logical trajectories in 8 bytes
-        huge = np.broadcast_to(np.zeros(1), (10**15, 21, 1))
-        ens = TrajectoryEnsemble(times=np.arange(21) * 1e-3, x=huge, p=huge, config=harmonic_config())
+        # zero strides: coarse_velocities checks one block of trajectories,
+        # so its ensemble is one block at 10^7 stored times, 2.5e6 lattice
+        # times and 1.6e12 bytes; momentum_resolution_check takes every
+        # trajectory at once, 10^15 of them here
+        if estimator == "coarse_velocities":
+            shape = (brownian._BLOCK, 10**7, 1)
+        else:
+            shape = (10**15, 21, 1)
+        huge = np.broadcast_to(np.zeros(1), shape)
+        ens = TrajectoryEnsemble(times=np.arange(shape[1]) * 1e-3, x=huge, p=huge, config=harmonic_config())
         tracemalloc.start()
         try:
             with pytest.raises(ValidationError, match="physical memory"):
@@ -585,6 +592,23 @@ class TestCoarseVelocities:
         finally:
             tracemalloc.stop()
         assert peak < 2**20, peak
+
+    def test_peak_per_block_within_memory_estimate(self):
+        # 21 stored times at epsilon = 2 steps: 11 lattice times
+        edges = np.linspace(-1.0, 1.0, 9)
+        ens = edge_case_ensemble(edges, n_trajectories=4 * brownian._BLOCK, n_times=21)
+        peaks = []
+        for n_trajectories in (brownian._BLOCK, 4 * brownian._BLOCK):
+            part = dataclasses.replace(ens, x=ens.x[:n_trajectories])
+            tracemalloc.start()
+            try:
+                coarse_velocities(part, 2e-3, edges, min_count=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_block, four_blocks = peaks
+        assert abs(four_blocks - one_block) < 2**12, peaks
+        assert four_blocks <= 40 * brownian._BLOCK * 11, peaks
 
 
 def two_pass_velocities(ensemble, epsilon, bin_edges, min_count, t_index=None):
@@ -700,6 +724,15 @@ class TestReferenceFormulas:
         for values, _, _ in reference:
             # some bins fall below min_count, some do not
             assert 0 < np.count_nonzero(np.isnan(values)) < values.size
+
+    @pytest.mark.parametrize("t_index", [None, 3])
+    @pytest.mark.parametrize("n_trajectories", [17, brownian._BLOCK, 2 * brownian._BLOCK + 17])
+    def test_blocks(self, n_trajectories, t_index):
+        # less than one block, exactly one, and two and a part
+        edges = np.linspace(-1.0, 1.0, 9)
+        ens = edge_case_ensemble(edges, n_trajectories=n_trajectories)
+        estimates = coarse_velocities(ens, 3e-3, edges, min_count=2, t_index=t_index)
+        self.assert_bit_identical(estimates, two_pass_velocities(ens, 3e-3, edges, 2, t_index))
 
     @pytest.mark.parametrize("epsilon", [5e-3, 1e-2, 2e-2])
     def test_momentum_resolution(self, free_underdamped, epsilon):

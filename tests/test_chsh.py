@@ -145,6 +145,15 @@ class TestChshValue:
             assert grid_max == s[i1, i2, j1, j2]
             assert best.as_tuple() == (t[i1], t[i2], t[j1], t[j2])
 
+    def test_state_validated_once(self, monkeypatch):
+        calls = []
+        check_density = linalg.check_density
+        monkeypatch.setattr(linalg, "check_density", lambda rho: calls.append(1) or check_density(rho))
+        chsh.chsh_value(chsh.singlet_state(), chsh.ChshAngles(*chsh.OPTIMAL_ANGLES))
+        assert len(calls) == 1
+        chsh.chsh_grid_max(chsh.singlet_state())
+        assert len(calls) == 2
+
     def test_degeneracy_guard(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
