@@ -25,6 +25,9 @@ from .brownian import (
     osmotic_velocity,
 )
 
+# trajectories per block of criterion 9's pooled positions, as brownian's _BLOCK
+_BLOCK = 2**14
+
 
 @dataclass
 class CriterionResult:
@@ -194,7 +197,8 @@ def criterion_8() -> CriterionResult:
     """Stationary law of the overdamped harmonic oscillator."""
     from scipy import stats
 
-    ens = integrate_overdamped(_langevin(t_end=0.1, n_trajectories=10**5, seed=77, store_every=10))
+    # the test reads the final state alone, so only the first and last are stored
+    ens = integrate_overdamped(_langevin(t_end=0.1, n_trajectories=10**5, seed=77, store_every=100))
     final = ens.x[:, -1, 0]
     n = final.size
     var = final.var(ddof=1)
@@ -216,9 +220,11 @@ def criterion_9(ens) -> CriterionResult:
     edges = np.arange(-2.05, 2.0501, 0.1)
     vp, vm = coarse_velocities(ens, eps, edges)
     u = osmotic_velocity(vp, vm)
-    pooled = ens.x[:, ::4, 0].ravel()
-    if pooled.size > 2 * 10**6:
-        pooled = pooled[:: pooled.size // (2 * 10**6) + 1]
+    # the KDE pools the positions at the lattice times, at most 2e6 of them
+    k = int(round(eps / ens.dt_store))
+    n_pooled = ens.x.shape[0] * len(range(0, ens.n_times, k))
+    stride = n_pooled // (2 * 10**6) + 1 if n_pooled > 2 * 10**6 else 1
+    pooled = _pooled_positions(ens.x, k, stride)
     oracle = -1.0 * log_density_gradient(pooled, u.bin_centers)
     ok_bins = ~np.isnan(u.values)
     dev = np.abs(u.values[ok_bins] - oracle[ok_bins])
@@ -240,6 +246,23 @@ def criterion_9(ens) -> CriterionResult:
     )
 
 
+def _pooled_positions(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """``x[:, ::k, 0].ravel()[::stride]``, gathered _BLOCK trajectories at a
+    time through one reused buffer, without the full pooled copy."""
+    n_traj, n_lattice = x.shape[0], len(range(0, x.shape[1], k))
+    out = np.empty(len(range(0, n_traj * n_lattice, stride)))
+    buffer = np.empty((min(n_traj, _BLOCK), n_lattice))
+    filled = 0
+    for start in range(0, n_traj, _BLOCK):
+        block = buffer[: n_traj - start]
+        np.copyto(block, x[start : start + _BLOCK, ::k, 0])
+        # the first pooled index at or after this block's first position
+        part = block.ravel()[-start * n_lattice % stride :: stride]
+        out[filled : filled + part.size] = part
+        filled += part.size
+    return out
+
+
 def criterion_10(ens) -> CriterionResult:
     """Velocity gap at x=1 stays above 1 (5 sigma) across the epsilon sweep on ``ens``."""
     eps_list = [4e-3, 6e-3, 8e-3, 1e-2]
@@ -251,8 +274,15 @@ def criterion_10(ens) -> CriterionResult:
 
 def criterion_11() -> CriterionResult:
     """Fine-resolution velocities equal p/m for the free underdamped particle."""
+    # stored every 4th step: epsilon is 4 dt, and the check reads the lattice times alone
     config = _langevin(
-        potential=Potential.free(), dt=2.5e-3, t_end=0.25, n_trajectories=50_000, seed=4242, x_init=0.0
+        potential=Potential.free(),
+        dt=2.5e-3,
+        t_end=0.25,
+        n_trajectories=50_000,
+        seed=4242,
+        x_init=0.0,
+        store_every=4,
     )
     ens = integrate_underdamped(config)
     res = momentum_resolution_check(ens, epsilon=1e-2, p_center=1.0)
@@ -335,7 +365,9 @@ def run_all(numbers=None) -> list[CriterionResult]:
     Criteria 9 and 10 share the expensive stationary-oscillator ensemble. It
     is integrated just before the first of them that runs and dropped after
     the last, outside either criterion's time, so no other criterion's
-    arrays stack on it.
+    arrays stack on it. It stores every 2nd step: both criteria read
+    multiples of 4, 6, 8 and 10 steps. Criterion 8 stores its first and last
+    state only, and criterion 11 every 4th step, its epsilon.
     """
     selected = set(numbers or range(1, 13))
     users = sorted({9, 10} & selected)
@@ -345,7 +377,9 @@ def run_all(numbers=None) -> list[CriterionResult]:
         if number not in selected:
             continue
         if users and number == users[0]:
-            shared = integrate_overdamped(_langevin(t_end=0.12, n_trajectories=120_000, seed=7878))
+            shared = integrate_overdamped(
+                _langevin(t_end=0.12, n_trajectories=120_000, seed=7878, store_every=2)
+            )
         start = time.perf_counter()
         res = func(shared) if number in users else func()
         res.seconds = time.perf_counter() - start

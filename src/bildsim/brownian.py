@@ -232,16 +232,17 @@ def timescale_report(config: LangevinConfig) -> TimescaleReport:
 
     tau_p = m/gamma always. tau_x depends on the potential alone:
     - free: infinite;
-    - harmonic: gamma / max k, the stiffest coordinate, which binds both the
-      regime test and the overdamped step bound;
+    - harmonic: gamma / max k, the stiffest coordinate;
     - polynomial: 1/lambda_1 from the Fokker-Planck spectral gap
       (``_polynomial_tau_x``), the smallest over the particles' distinct
       temperatures: again the fastest coordinate. It is infinite at T = 0,
       for a potential that does not confine (degree below 2, odd degree or
       a negative leading coefficient), and where the grid cannot resolve the
       gap from the zero mode.
-    Overdamped means tau_x >= 100 tau_p. No integrator runs, so the report
-    does not depend on the seed, the trajectories or the time grid.
+    Either way the fastest coordinate binds both the regime test and the
+    overdamped step bound. Overdamped means tau_x >= 100 tau_p. No
+    integrator runs, so the report does not depend on the seed, the
+    trajectories or the time grid.
     """
     kind = config.potential.kind
     if kind == "free":
@@ -404,12 +405,12 @@ def integrate_underdamped(config: LangevinConfig) -> TrajectoryEnsemble:
 
 
 def integrate_overdamped(config: LangevinConfig) -> TrajectoryEnsemble:
-    """Euler-Maruyama for dx = (F/gamma) dt + sqrt(2 T/gamma) dW."""
+    """Euler-Maruyama for dx = (F/gamma) dt + sqrt(2 T/gamma) dW, at a step
+    dt of at most 1e-3 tau_x (``timescale_report``) for every potential kind."""
     gamma, dt = config.gamma, config.dt
-    if config.potential.kind == "harmonic":
-        bound = 1e-3 * timescale_report(config).tau_x
-        if dt > bound:
-            raise RegimeError(f"dt={dt:.3g} exceeds overdamped step bound {bound:.3g}")
+    bound = 1e-3 * timescale_report(config).tau_x
+    if dt > bound:
+        raise RegimeError(f"dt={dt:.3g} exceeds overdamped step bound {bound:.3g}")
     noise_amp = np.sqrt(2.0 * config.diffusion_coefficients() * dt)
 
     def advance(x, p, xi):

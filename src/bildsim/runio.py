@@ -10,6 +10,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -152,12 +153,15 @@ def load_trajectories(path: str) -> dict:
 
 
 def trajectories_to_csv_rows(ensemble):
-    """Long-format rows (trajectory, time, particle, x[, p]) for small runs."""
-    has_p = ensemble.p is not None
-    for traj in range(ensemble.x.shape[0]):
-        for ti, t in enumerate(ensemble.times):
-            for part in range(ensemble.x.shape[2]):
-                row = [traj, repr(float(t)), part, repr(float(ensemble.x[traj, ti, part]))]
-                if has_p:
-                    row.append(repr(float(ensemble.p[traj, ti, part])))
-                yield row
+    """Long-format rows (trajectory, time, particle, x[, p]) for small runs.
+
+    The rows go trajectory by trajectory, then by time, then by particle;
+    each trajectory's values are converted to text one column at a time.
+    """
+    n_traj, _, n_particles = ensemble.x.shape
+    times = [repr(t) for t in ensemble.times.tolist()]
+    arrays = [a for a in (ensemble.x, ensemble.p) if a is not None]
+    for traj in range(n_traj):
+        values = [map(repr, a[traj].ravel().tolist()) for a in arrays]
+        for (t, part), *row in zip(itertools.product(times, range(n_particles)), *values):
+            yield [traj, t, part, *row]

@@ -343,6 +343,15 @@ class TestOverdamped:
         with pytest.raises(RegimeError, match="step bound"):
             integrate_overdamped(harmonic_config(dt=0.05))
 
+    @pytest.mark.parametrize("coefficients", [[0, 0, 0, 0, 1], [0, 0, 0.5, 0, 0.25]])
+    def test_polynomial_step_bound_guard(self, coefficients):
+        # the bound 1e-3 tau_x holds for every kind: just above it is refused, just below runs
+        config = harmonic_config(potential=Potential.polynomial(coefficients), x_init=0.0, n_trajectories=2)
+        bound = 1e-3 * timescale_report(config).tau_x
+        with pytest.raises(RegimeError, match="step bound"):
+            integrate_overdamped(dataclasses.replace(config, dt=1.01 * bound))
+        integrate_overdamped(dataclasses.replace(config, dt=0.99 * bound))
+
     def test_bit_reproducible(self):
         a = integrate_overdamped(harmonic_config(n_trajectories=100))
         b = integrate_overdamped(harmonic_config(n_trajectories=100))
@@ -466,6 +475,19 @@ class TestStorageLayout:
             for ens in layouts
         )
         assert a == b
+
+    @pytest.mark.parametrize("integrate", [integrate_overdamped, integrate_underdamped])
+    def test_csv_rows_match_element_loop(self, integrate):
+        # the per-element loop that the column conversion replaced, on two particles
+        ens = integrate(harmonic_config(n_particles=2, t_end=0.02, n_trajectories=7, store_every=2))
+        expected = [
+            [traj, repr(float(t)), part, repr(float(ens.x[traj, ti, part]))]
+            + ([] if ens.p is None else [repr(float(ens.p[traj, ti, part]))])
+            for traj in range(7)
+            for ti, t in enumerate(ens.times)
+            for part in range(2)
+        ]
+        assert list(runio.trajectories_to_csv_rows(ens)) == expected
 
     def test_trajectory_file(self, layouts, tmp_path):
         # 100k x 21 positions and momenta: many write chunks, the last one partial
@@ -740,6 +762,50 @@ class TestReferenceFormulas:
         for p_center in (-0.5, 0.0, 1.0):
             got = momentum_resolution_check(free_underdamped, epsilon, p_center)
             assert got == four_gather_momentum_check(free_underdamped, epsilon, p_center)
+
+
+class TestStoreEvery:
+    """An ensemble stored every s steps gives the estimators the bits of the
+    same run stored every step, for epsilon a multiple of s dt: the draws do
+    not depend on ``store_every``, and both read the same lattice times."""
+
+    @pytest.mark.parametrize("store_every", [2, 4])
+    def test_coarse_velocities(self, store_every):
+        full, thinned = (
+            integrate_overdamped(harmonic_config(n_trajectories=3000, t_end=0.04, store_every=s, seed=12))
+            for s in (1, store_every)
+        )
+        edges = np.linspace(-2.0, 2.0, 9)
+        for epsilon in (4e-3, 8e-3):
+            for t_index in (None, 16):
+                thinned_index = None if t_index is None else t_index // store_every
+                a = coarse_velocities(full, epsilon, edges, min_count=2, t_index=t_index)
+                b = coarse_velocities(thinned, epsilon, edges, min_count=2, t_index=thinned_index)
+                for va, vb in zip(a, b):
+                    for field in ("values", "std_errors", "counts"):
+                        assert getattr(va, field).tobytes() == getattr(vb, field).tobytes(), (epsilon, field)
+
+    @pytest.mark.parametrize("store_every", [2, 4])
+    def test_momentum_resolution_check(self, store_every):
+        full, thinned = (
+            integrate_underdamped(
+                harmonic_config(
+                    potential=Potential.free(),
+                    x_init=0.0,
+                    p_init="stationary",
+                    dt=2.5e-3,
+                    t_end=0.1,
+                    n_trajectories=4000,
+                    store_every=s,
+                    seed=13,
+                )
+            )
+            for s in (1, store_every)
+        )
+        for epsilon in (1e-2, 2e-2):
+            for p_center in (0.0, 0.5):
+                a, b = (momentum_resolution_check(ens, epsilon, p_center) for ens in (full, thinned))
+                assert a == b, (epsilon, p_center)
 
 
 class TestOsmoticVelocity:

@@ -514,8 +514,10 @@ class TestResourceAndBlowUpErrors:
     def test_blow_up_warnings_go_inside_the_json_line(self, tmp_path):
         # a child interpreter: pytest captures warnings, so only a real
         # process shows what reaches stderr
+        # dt under the quartic's step bound of 1e-3 tau_x = 3.65e-4: from x = 100,
+        # x' = x - 4 x^3 dt still overflows within a few steps
         quartic = {"kind": "polynomial", "coefficients": [0, 0, 0, 0, 1]}
-        config = langevin_with(potential=quartic, x_init=100, dt=0.01, t_end=0.5, n_trajectories=10, store_every=1)
+        config = langevin_with(potential=quartic, x_init=100, dt=3e-4, t_end=0.5, n_trajectories=10, store_every=1)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

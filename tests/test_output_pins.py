@@ -146,10 +146,10 @@ CONFIGS = {
         "params": _langevin(
             potential={"kind": "polynomial", "coefficients": [0.0, 0.0, 0.5, 0.0, 0.25]},
             x_init=0.5,
-            dt=1e-2,
+            dt=4e-4,
             t_end=2.0,
             n_trajectories=500,
-            store_every=1,
+            store_every=25,
         ),
     },
     "velocity-field": {"command": "velocity-field", "seed": 31, "params": VELOCITY},
