@@ -235,10 +235,13 @@ def timescale_report(config: LangevinConfig) -> TimescaleReport:
     - harmonic: gamma / max k, the stiffest coordinate;
     - polynomial: 1/lambda_1 from the Fokker-Planck spectral gap
       (``_polynomial_tau_x``), the smallest over the particles' distinct
-      temperatures: again the fastest coordinate. It is infinite at T = 0,
-      for a potential that does not confine (degree below 2, odd degree or
-      a negative leading coefficient), and where the grid cannot resolve the
-      gap from the zero mode.
+      temperatures: again the fastest coordinate. At T = 0 it is the
+      deterministic relaxation time gamma / max U'' over the local minima,
+      which equals the harmonic gamma / k for U = k x^2 / 2, and infinite
+      where that curvature vanishes. It is infinite for a potential that
+      does not confine (degree below 2, odd degree or a negative leading
+      coefficient), and where the grid cannot resolve the gap from the zero
+      mode.
     Either way the fastest coordinate binds both the regime test and the
     overdamped step bound. Overdamped means tau_x >= 100 tau_p. No
     integrator runs, so the report does not depend on the seed, the
@@ -271,14 +274,29 @@ def _polynomial_tau_x(coefficients, gamma: float, temperature: float) -> float:
     whose off-diagonal is -D/h^2. On U = x^2/2 this gives 1.0000043 gamma.
     Rates that overflow, or a lambda_1 within 1e3 eps of the largest rate
     sum, cannot be told from the zero mode. A well that double precision
-    cannot locate is a NumericalError.
+    cannot locate is a NumericalError. At T = 0 there is no diffusion, and
+    tau_x is gamma / U'' at the stiffest local minimum instead: the limit of
+    the gap for a single well, whereas a double well's gap closes as T -> 0
+    (Kramers).
     """
     from scipy.linalg import eigh_tridiagonal
 
     poly = np.polynomial.Polynomial(coefficients).trim()
     degree = poly.degree()
-    if temperature == 0 or degree < 2 or degree % 2 or poly.coef[-1] < 0:
+    if degree < 2 or degree % 2 or poly.coef[-1] < 0:
         return math.inf
+    if temperature == 0:
+        with np.errstate(all="ignore"):
+            try:
+                critical = poly.deriv().roots()
+            except np.linalg.LinAlgError as exc:  # coefficient ratios beyond double range
+                raise NumericalError(
+                    "cannot locate the minima of the polynomial potential in double precision"
+                ) from exc
+        real = critical.real[np.abs(critical.imag) <= 1e-6 * np.abs(critical)]
+        # U'' is positive at the strict local minima only
+        curvature = poly.deriv(2)(real).max(initial=0.0)
+        return float(gamma / curvature) if curvature > 0 else math.inf
     with np.errstate(all="ignore"):
         try:
             critical = poly.deriv().roots().real

@@ -13,6 +13,7 @@ a fixed draw order per sample, so results are reproducible bit-for-bit from
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -20,11 +21,13 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatchError, ValidationError, check_memory
 
-# samples per block of the sampler and of the form evaluation, and the bytes
-# that a memory estimate allows beside the arrays of n samples and of one
-# block: the generator, the 2d x 2d matrices and the array headers (under
-# 6 KiB at d = 5, tracemalloc)
+# samples per block of the sampler and of the form evaluation; samples per
+# chunk of a Monte Carlo estimate, which holds the fields of one chunk at a
+# time; and the bytes that a memory estimate allows beside the arrays of n
+# samples, of one chunk and of one block: the generator, the 2d x 2d matrices
+# and the array headers (under 6 KiB at d = 5, tracemalloc)
 _BLOCK = 2**14
+_CHUNK = 4 * _BLOCK
 _SMALL_BYTES = 2**16
 
 
@@ -50,6 +53,15 @@ class FieldMeasure:
     def energy(self) -> float:
         """Average field energy E[||phi||^2] = Tr B."""
         return float(np.trace(self.covariance).real)
+
+    @cached_property
+    def embedding(self) -> np.ndarray:
+        """The real (2d, 2d) matrix E that takes 2d normals, real parts first,
+        to the interleaved (Re phi_j, Im phi_j) of one sample: the real form
+        of sqrt(1/2) L^T, with B = L L*."""
+        d = self.dim
+        m = np.sqrt(0.5) * _covariance_factor(self.covariance).T
+        return _real_form(m).transpose(1, 0, 2, 3).reshape(2 * d, 2 * d)
 
 
 @dataclass(frozen=True)
@@ -106,25 +118,35 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def sample_fields(measure: FieldMeasure, n: int, seed: int) -> np.ndarray:
+def _philox(seed: int) -> np.random.Generator:
+    """A fresh generator on the Philox stream keyed by an integer seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2^64), not {seed!r}")
+    return np.random.Generator(np.random.Philox(np.uint64(seed)))
+
+
+def sample_fields(measure: FieldMeasure, n: int, seed) -> np.ndarray:
     """Draw n field samples, returned as an (n, d) complex array.
 
     phi = L z with B = L L* and z i.i.d. standard circular complex Gaussian
     (real and imaginary parts independent N(0, 1/2)), so E[phi phi*] = B.
-    Each sample takes 2d normals, real parts first, from one Philox stream.
-    Blocks of _BLOCK samples are drawn into one reused buffer and mapped
-    straight into their rows of phi by one real product with the embedding E
-    of sqrt(1/2) L^T, whose columns give the interleaved (Re phi_j, Im phi_j).
-    The stream continues across blocks, so phi does not depend on the block size.
+    Each sample takes 2d normals, real parts first, from one Philox stream:
+    a fresh one keyed by ``seed`` when it is an integer, or the stream of
+    ``seed`` when it is a ``np.random.Generator``, which continues from where
+    it stands and is left after the last normal drawn. Blocks of _BLOCK
+    samples are drawn into one reused buffer and mapped straight into their
+    rows of phi by one real product with the measure's embedding. The stream
+    continues across blocks, so phi does not depend on the block size, and
+    calls of whole blocks on one generator, joined, equal one call for all
+    their samples bit for bit.
     """
     if n < 1:
         raise ValidationError("need at least one sample")
+    rng = seed if isinstance(seed, np.random.Generator) else _philox(seed)
     d = measure.dim
     # phi, 16 bytes per sample and component, and one block of normals
     check_memory(16 * d * (n + _BLOCK) + _SMALL_BYTES, "the field samples")
-    m = np.sqrt(0.5) * _covariance_factor(measure.covariance).T
-    embedding = _real_form(m).transpose(1, 0, 2, 3).reshape(2 * d, 2 * d)
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
+    embedding = measure.embedding
     phi = np.empty((n, d), dtype=np.complex128)
     x = phi.view(np.float64)
     z = np.empty((min(n, _BLOCK), 2 * d))
@@ -150,8 +172,9 @@ def exact_average(variable: QuadraticVariable, measure: FieldMeasure) -> float:
     return linalg.trace_product(variable.kernel, measure.covariance)
 
 
-def _form_values(variables, samples: np.ndarray) -> np.ndarray:
-    """Per sample, the product of Re<phi|A phi> over the kernels A of ``variables``.
+def _form_values(variables, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per sample, the product of Re<phi|A phi> over the kernels A of ``variables``,
+    written into ``out``, one value per sample, and returned.
 
     Each A acts through S, the real form of phi -> A phi, which is symmetric
     because A is Hermitian: Re<phi|A phi> = x S x^T on phi's interleaved float
@@ -161,30 +184,43 @@ def _form_values(variables, samples: np.ndarray) -> np.ndarray:
     n, d = samples.shape
     x = samples.view(np.float64)
     forms = [_real_form(v.kernel.T).reshape(2 * d, 2 * d) for v in variables]
-    vals = np.empty(n)
     x_s = np.empty((min(n, _BLOCK), 2 * d))
     for start in range(0, n, _BLOCK):
         rows = x[start : start + _BLOCK]
-        block_vals = vals[start : start + len(rows)]
+        block_vals = out[start : start + len(rows)]
         products = x_s[: len(rows)]
         np.einsum("nk,nk->n", rows, np.matmul(rows, forms[0], out=products), out=block_vals)
         for form in forms[1:]:
             block_vals *= np.einsum("nk,nk->n", rows, np.matmul(rows, form, out=products))
-    return vals
+    return out
 
 
 def _monte_carlo(variables, measure: FieldMeasure, n: int, seed: int) -> MonteCarloEstimate:
     """Mean and standard error of the product of ``variables`` over n samples."""
     if n < 2:
         raise ValidationError("Monte Carlo estimate needs n >= 2")
-    # phi, 16 bytes per sample and component, and the values, 8 bytes per
-    # sample; one block of x S and its row sums, the same per row
-    check_memory((16 * measure.dim + 8) * (n + _BLOCK) + _SMALL_BYTES, "the Monte Carlo estimate")
-    # phi is freed before the statistics, whose temporary is the values' size
-    vals = _form_values(variables, sample_fields(measure, n, seed))
+    rng = _philox(seed)
+    # the values, 8 bytes per sample, and one chunk of phi, 16 bytes per
+    # sample and component, beside one block of normals or of x S, the same
+    # per row, and the row sums of x S
+    check_memory(
+        8 * n + 16 * measure.dim * (min(n, _CHUNK) + _BLOCK) + 8 * _BLOCK + _SMALL_BYTES,
+        "the Monte Carlo estimate",
+    )
+    # each chunk of phi continues the stream of the last and is freed once
+    # its values are in place, so the values are those of one call for all n
+    vals = np.empty(n)
+    for start in range(0, n, _CHUNK):
+        chunk = vals[start : start + _CHUNK]
+        _form_values(variables, sample_fields(measure, len(chunk), rng), chunk)
+    # numpy's mean and std(ddof=1), step for step, with the squared
+    # deviations written over the values instead of into a temporary
+    mean = vals.sum() / n
+    vals -= mean
+    np.multiply(vals, vals, out=vals)
     return MonteCarloEstimate(
-        mean=float(vals.mean()),
-        std_error=float(vals.std(ddof=1) / np.sqrt(n)),
+        mean=float(mean),
+        std_error=float(np.sqrt(vals.sum() / (n - 1)) / np.sqrt(n)),
         n_samples=n,
         seed=seed,
     )

@@ -204,7 +204,8 @@ class TestTimescaleReport:
             ([0.0, 1.0], 1.0),
             ([0.0, 0.0, 0.0, 0.0, -1.0], 1.0),
             ([0.0, 0.0, 0.0], 1.0),
-            ([0.0, 0.0, 0.5], 0.0),
+            # a flat-bottomed well: no curvature at its minimum
+            ([0.0, 0.0, 0.0, 0.0, 1.0], 0.0),
             # Kramers time about e^83: below the grid's resolution of the zero mode
             ([0.0, 0.0, -0.5, 0.0, 0.25], 0.003),
         ],
@@ -216,6 +217,24 @@ class TestTimescaleReport:
         )
         rep = timescale_report(config)
         assert rep.tau_x == np.inf and rep.overdamped
+
+    def test_zero_temperature_relaxation(self):
+        # at T = 0, gamma / U'' at the stiffest local minimum
+        for friction in (1.0, 200.0):
+            reports = [
+                timescale_report(
+                    harmonic_config(potential=potential, temperatures=(0.0,), x_init=0.0, friction=friction)
+                )
+                for potential in (Potential.harmonic(1.0), Potential.polynomial([0.0, 0.0, 0.5]))
+            ]
+            assert reports[1].tau_x == reports[0].tau_x == friction
+            assert reports[1].overdamped == reports[0].overdamped
+        # U = -x^2/2 + x^4/4: U''(+-1) = 2 at the minima, -1 at the maximum
+        double_well = Potential.polynomial([0.0, 0.0, -0.5, 0.0, 0.25])
+        config = harmonic_config(potential=double_well, temperatures=(0.0,), x_init=0.0)
+        assert timescale_report(config).tau_x == pytest.approx(0.5, rel=1e-12)
+        hot_and_cold = harmonic_config(n_particles=2, potential=double_well, temperatures=(0.0, 1.0), x_init=0.0)
+        assert timescale_report(hot_and_cold).tau_x == pytest.approx(0.5, rel=1e-12)
 
     def test_report_ignores_the_run(self, monkeypatch):
         def integrate(config):
@@ -235,9 +254,12 @@ class TestTimescaleReport:
 
     def test_potential_that_cannot_be_located_is_numerical_error(self):
         # the leading coefficient's ratios to the others overflow
-        config = harmonic_config(potential=Potential.polynomial([0.0, 0.0, 1.0, 0.0, 1e-320]), x_init=0.0)
-        with pytest.raises(NumericalError, match="cannot locate"):
-            timescale_report(config)
+        for temperature in (1.0, 0.0):
+            config = harmonic_config(
+                potential=Potential.polynomial([0.0, 0.0, 1.0, 0.0, 1e-320]), temperatures=(temperature,), x_init=0.0
+            )
+            with pytest.raises(NumericalError, match="cannot locate"):
+                timescale_report(config)
 
 
 class TestUnderdamped:

@@ -11,6 +11,10 @@ from bildsim.errors import (
 )
 
 
+# samples per chunk of a Monte Carlo estimate
+CHUNK = fields._CHUNK
+
+
 def random_hermitian(rng, d):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return 0.5 * (m + m.conj().T)
@@ -56,6 +60,19 @@ class TestSampleFields:
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(ValidationError):
             fields.FieldMeasure(np.diag([1.0, -0.5]))
+
+    @pytest.mark.parametrize("n", [17, CHUNK, CHUNK + 17, 2 * CHUNK + 17])
+    def test_chunks_on_one_generator_join_to_one_call(self, n):
+        measure = fields.FieldMeasure(random_psd(np.random.default_rng(1), 3))
+        rng = np.random.Generator(np.random.Philox(np.uint64(19)))
+        chunks = [fields.sample_fields(measure, min(CHUNK, n - start), rng) for start in range(0, n, CHUNK)]
+        assert np.concatenate(chunks).tobytes() == fields.sample_fields(measure, n, 19).tobytes()
+
+    @pytest.mark.parametrize("seed", [1.0, "7", None, True, -1, 2**64, np.random.default_rng(0).bit_generator])
+    def test_seed_neither_int_nor_generator_rejected(self, seed):
+        measure = fields.FieldMeasure(np.eye(2))
+        with pytest.raises(ValidationError, match="seed"):
+            fields.sample_fields(measure, 10, seed)
 
 
 # (dimension, rank of the covariance): full rank, and two rank-deficient cases
@@ -108,11 +125,49 @@ class TestReferenceFormulas:
             assert abs(est.mean - vals.mean()) <= 1e-13 * np.mean(np.abs(vals))
             assert est.std_error == pytest.approx(vals.std(ddof=1) / np.sqrt(n), rel=1e-13)
 
+    @pytest.mark.parametrize("n", [BLOCKS_N, 2 * CHUNK + 17])
+    def test_monte_carlo_equals_values_of_one_call(self, n):
+        rng, measure = reference_measure(3, 3, 50)
+        v = fields.QuadraticVariable(random_hermitian(rng, 3))
+        w = fields.QuadraticVariable(random_hermitian(rng, 3))
+        samples = fields.sample_fields(measure, n, 51)
+        for est, variables in (
+            (fields.mc_average(v, measure, n, 51), [v]),
+            (fields.mc_pair_correlation(v, w, measure, n, 51), [v, w]),
+        ):
+            vals = fields._form_values(variables, samples, np.empty(n))
+            assert est.mean == vals.mean()
+            assert est.std_error == vals.std(ddof=1) / np.sqrt(n)
+
+    def test_monte_carlo_draws_add_up_to_n_samples(self, monkeypatch):
+        # the calls of one estimate count n samples and 16 d n bytes in all
+        d, n = 3, 2 * CHUNK + 17
+        rng, measure = reference_measure(d, d, 60)
+        v = fields.QuadraticVariable(random_hermitian(rng, d))
+        calls = []
+        sample_fields = fields.sample_fields
+
+        def spy(measure, n, seed):
+            phi = sample_fields(measure, n, seed)
+            calls.append((n, phi.nbytes))
+            return phi
+
+        monkeypatch.setattr(fields, "sample_fields", spy)
+        fields.mc_average(v, measure, n, 61)
+        assert len(calls) == 3
+        assert sum(c[0] for c in calls) == n and sum(c[1] for c in calls) == 16 * d * n
+
+    def test_monte_carlo_seed_must_be_an_integer(self):
+        measure = fields.FieldMeasure(np.eye(2))
+        with pytest.raises(ValidationError, match="seed"):
+            fields.mc_average(fields.QuadraticVariable(np.eye(2)), measure, 10, np.random.default_rng(0))
+
     @pytest.mark.parametrize("d", [1, 3, 5])
     def test_monte_carlo_peak_within_memory_estimate(self, d, monkeypatch):
         rng, measure = reference_measure(d, d, 40 + d)
         v = fields.QuadraticVariable(random_hermitian(rng, d))
         w = fields.QuadraticVariable(random_hermitian(rng, d))
+        n = 4 * CHUNK + 17
         estimates = {}
 
         def record(nbytes, what):
@@ -121,12 +176,12 @@ class TestReferenceFormulas:
         monkeypatch.setattr(fields, "check_memory", record)
         tracemalloc.start()
         try:
-            fields.mc_pair_correlation(v, w, measure, BLOCKS_N, 41)
+            fields.mc_pair_correlation(v, w, measure, n, 41)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # phi and the values alone take (16 d + 8) B per sample
-        assert (16 * d + 8) * BLOCKS_N < peak <= estimates["the Monte Carlo estimate"]
+        # the values and one chunk of phi are held together, never all of phi
+        assert 8 * n + 16 * d * CHUNK < peak <= estimates["the Monte Carlo estimate"] < 16 * d * n
 
 
 def point_measure(phi):
