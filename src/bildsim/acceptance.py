@@ -25,7 +25,7 @@ from .brownian import (
     osmotic_velocity,
 )
 
-# trajectories per block of criterion 9's pooled positions, as brownian's _BLOCK
+# trajectories per block of criterion 9's pooled positions
 _BLOCK = 2**14
 
 

@@ -28,15 +28,20 @@ DEFAULT_MIN_BIN_COUNT = 200
 # acceptance criterion needs about 1e8
 _MAX_PARTICLE_STEPS = 10**12
 
-# trajectories per block of coarse_velocities, as fields' and chsh's _BLOCK
-_BLOCK = 2**14
+# trajectories per block of coarse_velocities: its working set, 40 bytes per
+# trajectory and lattice time of a block, stays well below the ensemble it reads
+_BLOCK = 2**12
 
 # binned KDE of log_density_gradient: kernel cut in bandwidths, grid nodes
-# per bandwidth, most grid nodes, samples binned per pass
+# per bandwidth, most grid nodes, samples read per block (also the largest
+# leaf of _pairwise_leaves)
 _KDE_REACH = 40.0
 _KDE_NODES_PER_BANDWIDTH = 256
 _KDE_MAX_NODES = 2**22
 _KDE_BLOCK = 2**16
+
+# histogram bins of _order_statistics
+_RANK_BINS = 2**14
 
 # Fokker-Planck spectral gap of _polynomial_tau_x: grid nodes, and the reach of
 # the grid, U - U_min < 69 T, where the stationary density has fallen to
@@ -548,7 +553,7 @@ def coarse_velocities(
     full window on each side of it: v_plus then takes the window after it
     and v_minus the window before it.
 
-    The trajectories are binned in blocks of 2^14. Each bin's sums add its
+    The trajectories are binned in blocks of 2^12. Each bin's sums add its
     windows in trajectory order, then in time order, across the blocks as
     within one, so no output depends on the block size.
     """
@@ -684,11 +689,204 @@ def momentum_resolution_check(
     )
 
 
-def silverman_bandwidth(samples: np.ndarray) -> float:
-    std = np.std(samples)
-    q75, q25 = np.percentile(samples, [75, 25])
+def _gather(a: np.ndarray, start: int, stop: int, out: np.ndarray):
+    """Copy the samples [start, stop) of ``a``, counted in C order of its
+    logical shape, into the 1-D ``out``; the sub-arrays of the first axis
+    that lie wholly in the range are copied at once."""
+    if a.ndim <= 1:
+        np.copyto(out, a.reshape(-1)[start:stop])
+        return
+    inner = math.prod(a.shape[1:])
+    first, last = -(-start // inner), stop // inner
+    if first > last:
+        _gather(a[last], start - last * inner, stop - last * inner, out)
+        return
+    head, whole = first * inner - start, (last - first) * inner
+    if head:
+        _gather(a[first - 1], inner - head, inner, out[:head])
+    np.copyto(out[head : head + whole].reshape((last - first,) + a.shape[1:]), a[first:last])
+    if stop > last * inner:
+        _gather(a[last], 0, stop - last * inner, out[head + whole :])
+
+
+def _sample_blocks(samples: np.ndarray, bounds: list, any_order: bool = False):
+    """The samples [start, stop) for each pair of ``bounds``, in C order of
+    the logical shape, as 1-D float arrays. A C-contiguous float array is
+    sliced; any other is gathered into one reused buffer, so a block is
+    valid only until the next is drawn. A caller that reads the samples as
+    a set passes ``any_order``: an F-contiguous array, such as the
+    (trajectory, time) view of a time-major ensemble, is then sliced in
+    memory order too."""
+    if samples.dtype == np.float64 and (samples.flags.c_contiguous or any_order and samples.flags.f_contiguous):
+        flat = samples.ravel(order="K")
+        for start, stop in bounds:
+            yield flat[start:stop]
+        return
+    buffer = np.empty(max(stop - start for start, stop in bounds))
+    for start, stop in bounds:
+        block = buffer[: stop - start]
+        _gather(samples, start, stop, block)
+        yield block
+
+
+def _kde_blocks(n: int) -> list:
+    return [(start, min(start + _KDE_BLOCK, n)) for start in range(0, n, _KDE_BLOCK)]
+
+
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise summation splits n terms: at half of them,
+    rounded down to a multiple of 8."""
+    half = n // 2
+    return half - half % 8
+
+
+def _pairwise_leaves(start: int, stop: int) -> list:
+    """[start, stop) split as numpy's pairwise summation splits it, down to
+    leaves of at most _KDE_BLOCK terms, in order."""
+    if stop - start <= _KDE_BLOCK:
+        return [(start, stop)]
+    mid = start + _pairwise_half(stop - start)
+    return _pairwise_leaves(start, mid) + _pairwise_leaves(mid, stop)
+
+
+def _pairwise_join(leaf_sums, n: int):
+    """The sum of n terms from the iterator of its leaves' sums (``np.add.reduce``
+    of each _pairwise_leaves leaf), added in the order numpy's pairwise
+    summation adds its halves: ``np.add.reduce`` of all n terms, bit for bit."""
+    if n <= _KDE_BLOCK:
+        return next(leaf_sums)
+    half = _pairwise_half(n)
+    return _pairwise_join(leaf_sums, half) + _pairwise_join(leaf_sums, n - half)
+
+
+def _sample_range(samples: np.ndarray) -> tuple:
+    """Min and max of the samples; nan if any sample is nan."""
+    lo, hi = np.inf, -np.inf
+    for block in _sample_blocks(samples, _kde_blocks(samples.size), any_order=True):
+        lo, hi = np.minimum(lo, block.min()), np.maximum(hi, block.max())
+    return lo, hi
+
+
+def _rank_bins(block: np.ndarray, lo: float, scale: float, work: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Histogram bin of each sample v of ``block``: floor((v/2 - lo/2) scale).
+    Every step rounds monotonically, so a smaller sample never lands in a
+    higher bin and each bin holds a range of the sorted samples. Halving
+    first keeps v - lo finite over any finite range."""
+    w, b = work[: block.size], bins[: block.size]
+    np.multiply(block, 0.5, out=w)
+    w -= 0.5 * lo
+    w *= scale
+    np.copyto(b, w, casting="unsafe")
+    return b
+
+
+def _order_statistics(samples: np.ndarray, ranks: np.ndarray, lo: float, scale: float) -> np.ndarray:
+    """The samples at 0-based ``ranks`` of their ascending order, exactly,
+    for finite samples of min ``lo`` and max hi, with ``scale`` =
+    _RANK_BINS / (hi/2 - lo/2) finite.
+
+    One pass bins the samples by _rank_bins into _RANK_BINS + 1 bins over
+    [lo, hi]; a second gathers the samples of the bins that hold the ranks
+    and partitions them. The gather is a few hundred samples per rank for a
+    smooth density, and at most all of them when most samples share one bin
+    (a far outlier), which is the copy np.percentile makes.
+    """
+    work = np.empty(min(samples.size, _KDE_BLOCK))
+    bins = np.empty(work.size, dtype=np.intp)
+    blocks = _kde_blocks(samples.size)
+    counts = np.zeros(_RANK_BINS + 1, dtype=np.intp)
+    for block in _sample_blocks(samples, blocks, any_order=True):
+        counts += np.bincount(_rank_bins(block, lo, scale, work, bins), minlength=_RANK_BINS + 1)
+    held = np.searchsorted(np.cumsum(counts), ranks, side="right")
+    wanted = np.zeros(_RANK_BINS + 1, dtype=bool)
+    wanted[held] = True
+    # the gathered samples stand in rank order behind those of the bins left out
+    skipped = np.cumsum(np.where(wanted, 0, counts))
+    picked = np.concatenate(
+        [
+            block[wanted[_rank_bins(block, lo, scale, work, bins)]]
+            for block in _sample_blocks(samples, blocks, any_order=True)
+        ]
+    )
+    at = ranks - skipped[held]
+    return np.partition(picked, at)[at]
+
+
+def _percentiles(samples: np.ndarray, q: list, lo: float, hi: float) -> np.ndarray:
+    """``np.percentile(samples, q)`` with numpy's linear method, bit for bit,
+    from exact order statistics instead of a partitioned copy of the
+    samples; ``lo`` and ``hi`` are their min and max. Samples that are nan
+    or infinite, or a range too narrow to bin, go to np.percentile itself."""
+    # bins per unit of v/2, for _rank_bins over [lo, hi]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = _RANK_BINS / (0.5 * hi - 0.5 * lo)
+    if not (np.isfinite(lo) and np.isfinite(hi) and (lo == hi or np.isfinite(scale))):
+        return np.percentile(samples, q)
+    n = samples.size
+    # numpy's _get_indexes, _get_gamma and _lerp
+    virtual = (n - 1) * np.true_divide(q, 100)
+    prev = np.floor(virtual)
+    nxt = prev + 1
+    top = virtual >= n - 1
+    prev[top] = nxt[top] = -1
+    prev, nxt = prev.astype(np.intp), nxt.astype(np.intp)
+    gamma = virtual - prev
+    ranks = np.concatenate([prev, nxt]) % n
+    if lo == hi:
+        a, b = np.full((2, len(q)), lo)
+    else:
+        a, b = _order_statistics(samples, ranks, lo, scale).reshape(2, -1)
+    diff = b - a
+    result = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    return result
+
+
+def _silverman(samples: np.ndarray) -> tuple:
+    """Silverman's bandwidth of the samples, and their min and max."""
+    n = samples.size
+    leaves = _pairwise_leaves(0, n)
+    sums, lo, hi = [], np.inf, -np.inf
+    for block in _sample_blocks(samples, leaves):
+        sums.append(np.add.reduce(block))
+        lo, hi = np.minimum(lo, block.min()), np.maximum(hi, block.max())
+    # np.std: the mean, then the mean of the squared deviations from it
+    mean = _pairwise_join(iter(sums), n) / n
+    work = np.empty(min(n, _KDE_BLOCK))
+    squares = []
+    for block in _sample_blocks(samples, leaves):
+        w = work[: block.size]
+        np.subtract(block, mean, out=w)
+        np.square(w, out=w)
+        squares.append(np.add.reduce(w))
+    std = np.sqrt(_pairwise_join(iter(squares), n) / n)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        # a nan or infinite sample makes std nan, which min() below returns
+        # whatever the quartiles are
+        return 0.9 * std * n ** (-0.2), lo, hi
+    q75, q25 = _percentiles(samples, [75, 25], lo, hi)
     a = min(std, (q75 - q25) / 1.34)
-    return 0.9 * a * samples.size ** (-0.2)
+    return 0.9 * a * n ** (-0.2), lo, hi
+
+
+def _check_samples(samples) -> np.ndarray:
+    s = np.asarray(samples)
+    if s.size == 0:
+        raise ValidationError("the density estimate needs at least one sample")
+    return s
+
+
+def silverman_bandwidth(samples: np.ndarray) -> float:
+    """Silverman's rule 0.9 min(std, IQR / 1.34) n^(-1/5) in double precision.
+
+    Bit for bit ``np.std`` and ``np.percentile(.., [75, 25])`` of the samples
+    raveled in C order of their logical shape, but read in place, in blocks
+    of at most 2^16: the sums follow numpy's pairwise split
+    (``_pairwise_leaves``), the quartiles come from ``_order_statistics``,
+    and neither the ravel nor np.std's deviations nor np.percentile's copy
+    is made.
+    """
+    return _silverman(_check_samples(samples))[0]
 
 
 def log_density_gradient(
@@ -696,35 +894,37 @@ def log_density_gradient(
 ) -> np.ndarray:
     """d/dx log of a Gaussian-kernel density estimate, at the given points.
 
-    The bandwidth h defaults to Silverman's rule. The samples are binned
-    linearly (Wand 1994) onto a uniform grid of spacing delta = h/256 that
-    spans [max(min s, min p - 40h), min(max s, max p + 40h)], in blocks of
-    2^16 samples; each point then sums the kernel over the nodes within 40h
-    of it (Silverman 1982, AS 176). A sample farther than 40h from a point
-    has kernel weight exp(-800), which is 0.0 in double precision, so both
-    cuts are exact. Linear binning keeps each sample's mass and mean; it
-    moves the weight of a sample z bandwidths from a point by a relative
-    amount of at most (delta/h)^2 |z^2 - 1| / 8, about 1.9e-6 |z^2 - 1|.
-    The grid holds at most 2^22 nodes: a wider span widens delta, and the
-    bound grows with (delta/h)^2. Points with no sample within 40h, and a
-    bandwidth that is not positive (identical samples), give nan.
+    The samples are an array of any shape, read in place in C order of its
+    logical shape, in blocks of 2^16: a time-major ensemble's (trajectory,
+    time) view is gathered a block at a time into one buffer, never copied
+    whole. The bandwidth h defaults to Silverman's rule. The samples are
+    binned linearly (Wand 1994) onto a uniform grid of spacing delta = h/256
+    that spans [max(min s, min p - 40h), min(max s, max p + 40h)], block by
+    block; each point then sums the kernel over the nodes within 40h of it
+    (Silverman 1982, AS 176). A sample farther than 40h from a point has
+    kernel weight exp(-800), which is 0.0 in double precision, so both cuts
+    are exact. Linear binning keeps each sample's mass and mean; it moves
+    the weight of a sample z bandwidths from a point by a relative amount of
+    at most (delta/h)^2 |z^2 - 1| / 8, about 1.9e-6 |z^2 - 1|. The grid holds
+    at most 2^22 nodes: a wider span widens delta, and the bound grows with
+    (delta/h)^2. Points with no sample within 40h, and a bandwidth that is
+    not positive (identical samples), give nan.
     """
-    s = np.asarray(samples, dtype=float).ravel()
+    s = _check_samples(samples)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    h = silverman_bandwidth(s) if bandwidth is None else bandwidth
+    h, s_min, s_max = _silverman(s) if bandwidth is None else (bandwidth, *_sample_range(s))
     if not h > 0:
         return np.full(pts.size, np.nan)
     reach = _KDE_REACH * h
-    lo = max(float(s.min()), float(pts.min()) - reach)
-    hi = min(float(s.max()), float(pts.max()) + reach)
+    lo = max(float(s_min), float(pts.min()) - reach)
+    hi = min(float(s_max), float(pts.max()) + reach)
     span = max(hi - lo, 0.0)
     delta = max(h / _KDE_NODES_PER_BANDWIDTH, span / (_KDE_MAX_NODES - 2))
     n_nodes = int(span / delta) + 2
     # node j sits at lo + j delta; a sample at lo + (j + f) delta puts
     # weight 1 - f on node j and f on node j + 1
     counts = np.zeros(n_nodes)
-    for start in range(0, s.size, _KDE_BLOCK):
-        block = s[start : start + _KDE_BLOCK]
+    for block in _sample_blocks(s, _kde_blocks(s.size)):
         t = (block[(block >= lo) & (block <= hi)] - lo) / delta
         j = t.astype(np.intp)
         frac = t - j
@@ -763,7 +963,7 @@ def fokker_planck_residual(ensemble: TrajectoryEnsemble) -> float:
             f"insufficient samples: {ensemble.x.shape[0]} trajectories, need 1e5"
         )
     x = ensemble.x[:, :, 0]
-    lo, hi = np.percentile(x, [0.5, 99.5])
+    lo, hi = _percentiles(x, [0.5, 99.5], *_sample_range(x))
     n_bins = 81
     edges = np.linspace(lo, hi, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -300,12 +300,9 @@ def _run_velocity_field(params: dict, seed: int, out: str, paper_units: bool) ->
     edges = np.linspace(params["bin_min"], params["bin_max"], params["n_bins"] + 1)
     vp, vm = brownian.coarse_velocities(ens, eps, edges, min_count=params["min_count"])
     u = brownian.osmotic_velocity(vp, vm)
-    # ravel copies the time-major positions into trajectory-major order;
-    # dropping the ensemble keeps that copy out of the density estimate's peak
-    pooled = ens.x[:, :, 0].ravel()
-    del ens
+    # the density estimate reads the stored positions in place, block by block
     diff_coeff = float(config.diffusion_coefficients()[0])
-    oracle = -diff_coeff * brownian.log_density_gradient(pooled, u.bin_centers)
+    oracle = -diff_coeff * brownian.log_density_gradient(ens.x[:, :, 0], u.bin_centers)
     rows = []
     for i, center in enumerate(u.bin_centers):
         rows.append(

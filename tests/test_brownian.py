@@ -770,9 +770,12 @@ class TestReferenceFormulas:
             assert 0 < np.count_nonzero(np.isnan(values)) < values.size
 
     @pytest.mark.parametrize("t_index", [None, 3])
-    @pytest.mark.parametrize("n_trajectories", [17, brownian._BLOCK, 2 * brownian._BLOCK + 17])
+    @pytest.mark.parametrize(
+        "n_trajectories", [17, brownian._BLOCK, 2 * brownian._BLOCK + 17, 2**14, 2 * 2**14 + 17]
+    )
     def test_blocks(self, n_trajectories, t_index):
-        # less than one block, exactly one, and two and a part
+        # less than one block, exactly one, and two and a part; then four
+        # whole blocks, and eight and a part
         edges = np.linspace(-1.0, 1.0, 9)
         ens = edge_case_ensemble(edges, n_trajectories=n_trajectories)
         estimates = coarse_velocities(ens, 3e-3, edges, min_count=2, t_index=t_index)
@@ -950,14 +953,146 @@ class TestLogDensityGradient:
         np.testing.assert_allclose(got, direct_log_density_gradient(s, 0.5), rtol=1e-5)
 
     def test_memory_stays_below_16_mib(self):
-        s = np.random.default_rng(11).standard_normal(4_000_000)
-        tracemalloc.start()
-        try:
-            log_density_gradient(s, np.linspace(-2.0, 2.0, 41), bandwidth=0.05)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20, peak
+        # 4e6 samples, 30.5 MiB: the default bandwidth reads them for
+        # Silverman's statistics too, and a view is gathered block by block
+        memory = np.random.default_rng(11).standard_normal((100, 40_000))
+        for s in (memory.reshape(-1), memory.T):
+            for bandwidth in (0.05, None):
+                tracemalloc.start()
+                try:
+                    log_density_gradient(s, np.linspace(-2.0, 2.0, 41), bandwidth=bandwidth)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 16 * 2**20, (peak, s.flags.c_contiguous, bandwidth)
+
+    @pytest.mark.parametrize("rows", [511, 512, 513, 1536, 1537])
+    def test_time_major_view_gives_the_bytes_of_its_ravel(self, rows):
+        # 128 times per trajectory: the sample count falls below, on and
+        # above multiples of the 2^16-sample blocks
+        view = time_major(np.random.default_rng(rows).standard_normal((rows, 128)))
+        points = np.linspace(-2.0, 2.0, 17)
+        for bandwidth in (None, 0.1):
+            got = log_density_gradient(view, points, bandwidth)
+            assert got.tobytes() == log_density_gradient(view.ravel(), points, bandwidth).tobytes()
+
+
+def time_major(a):
+    """``a`` as a (trajectory, time) view of time-major memory."""
+    view = np.ascontiguousarray(a.T).T
+    assert not view.flags.c_contiguous or a.shape[0] == 1 or a.shape[1] == 1
+    return view
+
+
+def reference_silverman(samples):
+    """Silverman's rule as np.std and np.percentile give it on the samples
+    raveled in C order."""
+    s = np.ravel(samples)
+    std = np.std(s)
+    q75, q25 = np.percentile(s, [75, 25])
+    return 0.9 * min(std, (q75 - q25) / 1.34) * s.size ** (-0.2)
+
+
+def assert_same_bits(got, want):
+    got, want = np.float64(got), np.float64(want)
+    assert got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want)), (got, want)
+
+
+class TestSilvermanBandwidth:
+    """The bandwidth is read in place in blocks and must equal np.std and
+    np.percentile bit for bit. Its sums follow numpy's pairwise-summation
+    split (halve, round the first half down to a multiple of 8): a sample
+    count past 2^16 that does not match np.std points at that split."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 2**16, 2**16 + 1, 3 * 2**16 + 17])
+    @pytest.mark.parametrize("layout", ["contiguous", "time_major"])
+    def test_std_follows_numpys_pairwise_summation_split(self, n, layout):
+        s = 3.0 * np.random.default_rng(n).standard_normal(n) + 1.0
+        # std below IQR / 1.34 for these normal samples, so std sets the rule
+        # at the larger n; the exponential samples below let the IQR set it
+        for samples in (s, np.random.default_rng(n).exponential(2.0, n)):
+            if layout == "time_major":
+                samples = time_major(samples.reshape(-1, 1) if n % 7 else samples.reshape(-1, 7))
+            assert_same_bits(silverman_bandwidth(samples), reference_silverman(samples))
+
+    @pytest.mark.parametrize("n", [2**17 + 12, 3 * 2**16 + 17, 5 * 2**16 + 3])
+    def test_leaf_sums_join_as_numpys_pairwise_summation_split(self, n):
+        # magnitudes over 16 decades: the rounding of the sum depends on the
+        # order of its additions, which np.std's own sum fixes
+        rng = np.random.default_rng(n)
+        leaves = brownian._pairwise_leaves(0, n)
+        assert [a for a, _ in leaves[1:]] == [b for _, b in leaves[:-1]]
+        assert leaves[0][0] == 0 and leaves[-1][1] == n and max(b - a for a, b in leaves) <= 2**16
+        for _ in range(4):
+            s = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            got = brownian._pairwise_join(iter([np.add.reduce(s[a:b]) for a, b in leaves]), n)
+            assert_same_bits(got, np.add.reduce(s))
+
+    def test_trajectory_rows_cross_block_edges(self):
+        # 121 times per trajectory: rows straddle the leaves of the split
+        view = time_major(np.random.default_rng(12).standard_normal((3 * 2**16 // 121 + 5, 121)))
+        assert_same_bits(silverman_bandwidth(view), reference_silverman(view))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.where(np.random.default_rng(13).random(200_001) < 0.3, -0.25, 1.5),
+            # every sample but the two extremes in one histogram bin
+            np.concatenate([[-1e6], np.random.default_rng(14).random(150_000), [1e6]]),
+            np.round(np.random.default_rng(15).standard_normal(100_000), 1),
+        ],
+        ids=["two_values", "one_bin", "rounded"],
+    )
+    def test_heavy_ties(self, samples):
+        assert_same_bits(silverman_bandwidth(samples), reference_silverman(samples))
+
+    def test_constant_samples(self):
+        for n in (1, 100, 2**16 + 1):
+            s = np.full(n, 0.3)
+            assert_same_bits(silverman_bandwidth(s), reference_silverman(s))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_give_the_reference_result(self, bad):
+        s = np.random.default_rng(16).standard_normal(70_000)
+        s[1234] = bad
+        with np.errstate(invalid="ignore"):
+            want = reference_silverman(s)
+            assert_same_bits(silverman_bandwidth(s), want)
+            assert_same_bits(silverman_bandwidth(time_major(s.reshape(-1, 10))), want)
+
+    def test_float_return(self):
+        assert isinstance(silverman_bandwidth(np.arange(10.0)), float)
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            silverman_bandwidth(np.empty(0))
+
+
+class TestOrderStatistics:
+    """brownian._percentiles against np.percentile, bit for bit."""
+
+    @pytest.mark.parametrize("q", [0.5, 25, 75, 99.5])
+    @pytest.mark.parametrize("n", [1, 2, 9, 2**16 + 1, 200_003])
+    def test_matches_np_percentile(self, q, n):
+        rng = np.random.default_rng(n)
+        for s in (rng.standard_normal(n), rng.standard_cauchy(n), np.round(rng.standard_normal(n), 2)):
+            want = np.percentile(s, [q])
+            for samples in (s, time_major(s.reshape(-1, 1))):
+                got = brownian._percentiles(samples, [q], *brownian._sample_range(samples))
+                assert got.tobytes() == want.tobytes(), (q, n, got, want)
+
+    def test_residual_percentiles_of_a_time_major_ensemble(self):
+        x = time_major(np.random.default_rng(17).standard_normal((5_000, 33)))
+        got = brownian._percentiles(x, [0.5, 99.5], *brownian._sample_range(x))
+        assert got.tobytes() == np.percentile(x, [0.5, 99.5]).tobytes()
+
+    def test_non_finite_samples_fall_back_to_numpy(self):
+        s = np.random.default_rng(18).standard_normal(1000)
+        s[[3, 500]] = [np.inf, -np.inf]
+        got = brownian._percentiles(s, [0.5, 25, 99.5], *brownian._sample_range(s))
+        np.testing.assert_array_equal(got, np.percentile(s, [0.5, 25, 99.5]))
+        s[7] = np.nan
+        assert np.isnan(brownian._percentiles(s, [25, 75], *brownian._sample_range(s))).all()
 
 
 class TestNonsmoothness:

@@ -268,6 +268,24 @@ class TestVelocityField:
             # u tracks the density-gradient oracle loosely at this budget
             assert abs(float(r["u"]) - float(r["osmotic_oracle"])) < 1.0
 
+    def test_peak_is_the_ensemble_and_a_bounded_working_set(self, tmp_path):
+        # 50k trajectories at 41 stored times, a 15.6 MiB ensemble; a copy
+        # of its positions for the density estimate would add as much again
+        langevin = langevin_params(n_trajectories=50_000, t_end=0.04, store_every=1)
+        config = {
+            "command": "velocity-field",
+            "params": {"langevin": langevin, "epsilon": 4e-3, "bin_min": -2.0, "bin_max": 2.0, "n_bins": 40},
+            "seed": 21,
+        }
+        tracemalloc.start()
+        try:
+            cli.run_experiment(config, str(tmp_path / "run"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ensemble = 8 * 50_000 * 41
+        assert ensemble < peak < ensemble + 6 * 2**20, (peak, ensemble)
+
 
 class TestManifestAndDeterminism:
     def test_manifest_contents(self, tmp_path):
