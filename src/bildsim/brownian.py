@@ -33,8 +33,7 @@ _MAX_PARTICLE_STEPS = 10**12
 _BLOCK = 2**12
 
 # binned KDE of log_density_gradient: kernel cut in bandwidths, grid nodes
-# per bandwidth, most grid nodes, samples read per block (also the largest
-# leaf of _pairwise_leaves)
+# per bandwidth, most grid nodes, samples read per block by _sample_blocks
 _KDE_REACH = 40.0
 _KDE_NODES_PER_BANDWIDTH = 256
 _KDE_MAX_NODES = 2**22
@@ -689,80 +688,25 @@ def momentum_resolution_check(
     )
 
 
-def _gather(a: np.ndarray, start: int, stop: int, out: np.ndarray):
-    """Copy the samples [start, stop) of ``a``, counted in C order of its
-    logical shape, into the 1-D ``out``; the sub-arrays of the first axis
-    that lie wholly in the range are copied at once."""
-    if a.ndim <= 1:
-        np.copyto(out, a.reshape(-1)[start:stop])
-        return
-    inner = math.prod(a.shape[1:])
-    first, last = -(-start // inner), stop // inner
-    if first > last:
-        _gather(a[last], start - last * inner, stop - last * inner, out)
-        return
-    head, whole = first * inner - start, (last - first) * inner
-    if head:
-        _gather(a[first - 1], inner - head, inner, out[:head])
-    np.copyto(out[head : head + whole].reshape((last - first,) + a.shape[1:]), a[first:last])
-    if stop > last * inner:
-        _gather(a[last], 0, stop - last * inner, out[head + whole :])
-
-
-def _sample_blocks(samples: np.ndarray, bounds: list, any_order: bool = False):
-    """The samples [start, stop) for each pair of ``bounds``, in C order of
-    the logical shape, as 1-D float arrays. A C-contiguous float array is
-    sliced; any other is gathered into one reused buffer, so a block is
-    valid only until the next is drawn. A caller that reads the samples as
-    a set passes ``any_order``: an F-contiguous array, such as the
-    (trajectory, time) view of a time-major ensemble, is then sliced in
-    memory order too."""
-    if samples.dtype == np.float64 and (samples.flags.c_contiguous or any_order and samples.flags.f_contiguous):
-        flat = samples.ravel(order="K")
-        for start, stop in bounds:
-            yield flat[start:stop]
-        return
-    buffer = np.empty(max(stop - start for start, stop in bounds))
-    for start, stop in bounds:
-        block = buffer[: stop - start]
-        _gather(samples, start, stop, block)
-        yield block
-
-
-def _kde_blocks(n: int) -> list:
-    return [(start, min(start + _KDE_BLOCK, n)) for start in range(0, n, _KDE_BLOCK)]
-
-
-def _pairwise_half(n: int) -> int:
-    """Where numpy's pairwise summation splits n terms: at half of them,
-    rounded down to a multiple of 8."""
-    half = n // 2
-    return half - half % 8
-
-
-def _pairwise_leaves(start: int, stop: int) -> list:
-    """[start, stop) split as numpy's pairwise summation splits it, down to
-    leaves of at most _KDE_BLOCK terms, in order."""
-    if stop - start <= _KDE_BLOCK:
-        return [(start, stop)]
-    mid = start + _pairwise_half(stop - start)
-    return _pairwise_leaves(start, mid) + _pairwise_leaves(mid, stop)
-
-
-def _pairwise_join(leaf_sums, n: int):
-    """The sum of n terms from the iterator of its leaves' sums (``np.add.reduce``
-    of each _pairwise_leaves leaf), added in the order numpy's pairwise
-    summation adds its halves: ``np.add.reduce`` of all n terms, bit for bit."""
-    if n <= _KDE_BLOCK:
-        return next(leaf_sums)
-    half = _pairwise_half(n)
-    return _pairwise_join(leaf_sums, half) + _pairwise_join(leaf_sums, n - half)
+def _sample_blocks(samples: np.ndarray):
+    """The samples as 1-D float64 blocks of at most _KDE_BLOCK, in memory
+    order. An array that one stride walks, such as an ensemble's
+    (trajectory, time) view of one particle, is read in place; a cast, or a
+    layout no single stride walks, is copied a block at a time into the
+    iterator's buffer, so a block is valid only until the next is drawn."""
+    return np.nditer(
+        samples,
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        op_dtypes=[np.float64],
+        order="K",
+        buffersize=_KDE_BLOCK,
+    )
 
 
 def _sample_range(samples: np.ndarray) -> tuple:
     """Min and max of the samples; nan if any sample is nan."""
     lo, hi = np.inf, -np.inf
-    for block in _sample_blocks(samples, _kde_blocks(samples.size), any_order=True):
+    for block in _sample_blocks(samples):
         lo, hi = np.minimum(lo, block.min()), np.maximum(hi, block.max())
     return lo, hi
 
@@ -793,9 +737,8 @@ def _order_statistics(samples: np.ndarray, ranks: np.ndarray, lo: float, scale: 
     """
     work = np.empty(min(samples.size, _KDE_BLOCK))
     bins = np.empty(work.size, dtype=np.intp)
-    blocks = _kde_blocks(samples.size)
     counts = np.zeros(_RANK_BINS + 1, dtype=np.intp)
-    for block in _sample_blocks(samples, blocks, any_order=True):
+    for block in _sample_blocks(samples):
         counts += np.bincount(_rank_bins(block, lo, scale, work, bins), minlength=_RANK_BINS + 1)
     held = np.searchsorted(np.cumsum(counts), ranks, side="right")
     wanted = np.zeros(_RANK_BINS + 1, dtype=bool)
@@ -803,10 +746,7 @@ def _order_statistics(samples: np.ndarray, ranks: np.ndarray, lo: float, scale: 
     # the gathered samples stand in rank order behind those of the bins left out
     skipped = np.cumsum(np.where(wanted, 0, counts))
     picked = np.concatenate(
-        [
-            block[wanted[_rank_bins(block, lo, scale, work, bins)]]
-            for block in _sample_blocks(samples, blocks, any_order=True)
-        ]
+        [block[wanted[_rank_bins(block, lo, scale, work, bins)]] for block in _sample_blocks(samples)]
     )
     at = ranks - skipped[held]
     return np.partition(picked, at)[at]
@@ -845,21 +785,20 @@ def _percentiles(samples: np.ndarray, q: list, lo: float, hi: float) -> np.ndarr
 def _silverman(samples: np.ndarray) -> tuple:
     """Silverman's bandwidth of the samples, and their min and max."""
     n = samples.size
-    leaves = _pairwise_leaves(0, n)
-    sums, lo, hi = [], np.inf, -np.inf
-    for block in _sample_blocks(samples, leaves):
-        sums.append(np.add.reduce(block))
+    total, lo, hi = 0.0, np.inf, -np.inf
+    for block in _sample_blocks(samples):
+        total += np.add.reduce(block)
         lo, hi = np.minimum(lo, block.min()), np.maximum(hi, block.max())
     # np.std: the mean, then the mean of the squared deviations from it
-    mean = _pairwise_join(iter(sums), n) / n
+    mean = total / n
     work = np.empty(min(n, _KDE_BLOCK))
-    squares = []
-    for block in _sample_blocks(samples, leaves):
+    squares = 0.0
+    for block in _sample_blocks(samples):
         w = work[: block.size]
         np.subtract(block, mean, out=w)
         np.square(w, out=w)
-        squares.append(np.add.reduce(w))
-    std = np.sqrt(_pairwise_join(iter(squares), n) / n)
+        squares += np.add.reduce(w)
+    std = np.sqrt(squares / n)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         # a nan or infinite sample makes std nan, which min() below returns
         # whatever the quartiles are
@@ -879,12 +818,13 @@ def _check_samples(samples) -> np.ndarray:
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """Silverman's rule 0.9 min(std, IQR / 1.34) n^(-1/5) in double precision.
 
-    Bit for bit ``np.std`` and ``np.percentile(.., [75, 25])`` of the samples
-    raveled in C order of their logical shape, but read in place, in blocks
-    of at most 2^16: the sums follow numpy's pairwise split
-    (``_pairwise_leaves``), the quartiles come from ``_order_statistics``,
-    and neither the ravel nor np.std's deviations nor np.percentile's copy
-    is made.
+    The samples, an array of any shape, are read in place as a set, in
+    memory order and in blocks of at most 2^16 (``_sample_blocks``); neither
+    a ravel nor np.std's deviations nor np.percentile's copy is made. The
+    quartiles are exact order statistics, ``np.percentile(.., [75, 25])``
+    bit for bit. std is np.std's two-pass value up to rounding: each block
+    is summed as np.std sums, and the block sums are added in turn, so up to
+    one block it is np.std of the memory-order ravel bit for bit.
     """
     return _silverman(_check_samples(samples))[0]
 
@@ -894,10 +834,10 @@ def log_density_gradient(
 ) -> np.ndarray:
     """d/dx log of a Gaussian-kernel density estimate, at the given points.
 
-    The samples are an array of any shape, read in place in C order of its
-    logical shape, in blocks of 2^16: a time-major ensemble's (trajectory,
-    time) view is gathered a block at a time into one buffer, never copied
-    whole. The bandwidth h defaults to Silverman's rule. The samples are
+    The samples are an array of any shape, read in place in memory order,
+    in blocks of 2^16: a time-major ensemble's (trajectory, time) view, and
+    one particle's view of a multi-particle ensemble, are never copied. The
+    bandwidth h defaults to Silverman's rule. The samples are
     binned linearly (Wand 1994) onto a uniform grid of spacing delta = h/256
     that spans [max(min s, min p - 40h), min(max s, max p + 40h)], block by
     block; each point then sums the kernel over the nodes within 40h of it
@@ -907,13 +847,14 @@ def log_density_gradient(
     the weight of a sample z bandwidths from a point by a relative amount of
     at most (delta/h)^2 |z^2 - 1| / 8, about 1.9e-6 |z^2 - 1|. The grid holds
     at most 2^22 nodes: a wider span widens delta, and the bound grows with
-    (delta/h)^2. Points with no sample within 40h, and a bandwidth that is
-    not positive (identical samples), give nan.
+    (delta/h)^2. Points with no sample within 40h give nan; a nan sample,
+    and a bandwidth that is not positive (identical samples), give nan at
+    every point.
     """
     s = _check_samples(samples)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     h, s_min, s_max = _silverman(s) if bandwidth is None else (bandwidth, *_sample_range(s))
-    if not h > 0:
+    if not h > 0 or np.isnan(s_min):
         return np.full(pts.size, np.nan)
     reach = _KDE_REACH * h
     lo = max(float(s_min), float(pts.min()) - reach)
@@ -924,7 +865,7 @@ def log_density_gradient(
     # node j sits at lo + j delta; a sample at lo + (j + f) delta puts
     # weight 1 - f on node j and f on node j + 1
     counts = np.zeros(n_nodes)
-    for block in _sample_blocks(s, _kde_blocks(s.size)):
+    for block in _sample_blocks(s):
         t = (block[(block >= lo) & (block <= hi)] - lo) / delta
         j = t.astype(np.intp)
         frac = t - j

@@ -946,6 +946,15 @@ class TestLogDensityGradient:
         np.testing.assert_allclose(log_density_gradient(np.full(10, 2.0), [1.0], 0.5), [4.0])
         assert not np.allclose(got, log_density_gradient(s, np.linspace(0.1, 5.0, 30), 0.1))
 
+    def test_nan_sample_gives_nan(self):
+        s = np.random.default_rng(19).standard_normal(1000)
+        s[500] = np.nan
+        for bandwidth in (0.1, None):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = log_density_gradient(s, [0.0, 1.0], bandwidth)
+            assert got.shape == (2,) and np.all(np.isnan(got)), bandwidth
+
     def test_scalar_point(self):
         s = np.random.default_rng(10).standard_normal(10_000)
         got = log_density_gradient(s, 0.5)
@@ -954,9 +963,10 @@ class TestLogDensityGradient:
 
     def test_memory_stays_below_16_mib(self):
         # 4e6 samples, 30.5 MiB: the default bandwidth reads them for
-        # Silverman's statistics too, and a view is gathered block by block
+        # Silverman's statistics too; C-contiguous, time-major and strided
+        # samples are all read in place
         memory = np.random.default_rng(11).standard_normal((100, 40_000))
-        for s in (memory.reshape(-1), memory.T):
+        for s in (memory.reshape(-1), memory.T, one_of_three_particles(memory.T)):
             for bandwidth in (0.05, None):
                 tracemalloc.start()
                 try:
@@ -964,17 +974,20 @@ class TestLogDensityGradient:
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-                assert peak < 16 * 2**20, (peak, s.flags.c_contiguous, bandwidth)
+                assert peak < 16 * 2**20, (peak, s.strides, bandwidth)
 
     @pytest.mark.parametrize("rows", [511, 512, 513, 1536, 1537])
     def test_time_major_view_gives_the_bytes_of_its_ravel(self, rows):
         # 128 times per trajectory: the sample count falls below, on and
-        # above multiples of the 2^16-sample blocks
+        # above multiples of the 2^16-sample blocks. The samples are read in
+        # memory order; the C-order ravel differs only in the order in
+        # which block sums and grid weights are added
         view = time_major(np.random.default_rng(rows).standard_normal((rows, 128)))
         points = np.linspace(-2.0, 2.0, 17)
         for bandwidth in (None, 0.1):
             got = log_density_gradient(view, points, bandwidth)
-            assert got.tobytes() == log_density_gradient(view.ravel(), points, bandwidth).tobytes()
+            assert got.tobytes() == log_density_gradient(view.ravel(order="K"), points, bandwidth).tobytes()
+            np.testing.assert_allclose(got, log_density_gradient(view.ravel(), points, bandwidth), rtol=1e-13)
 
 
 def time_major(a):
@@ -984,13 +997,14 @@ def time_major(a):
     return view
 
 
-def reference_silverman(samples):
-    """Silverman's rule as np.std and np.percentile give it on the samples
-    raveled in C order."""
-    s = np.ravel(samples)
-    std = np.std(s)
-    q75, q25 = np.percentile(s, [75, 25])
-    return 0.9 * min(std, (q75 - q25) / 1.34) * s.size ** (-0.2)
+def one_of_three_particles(a):
+    """``a`` as the (trajectory, time) view of particle 0 in a time-major
+    ensemble of three particles: strided, neither C- nor F-contiguous."""
+    memory = np.zeros(a.shape[::-1] + (3,))
+    memory[:, :, 0] = a.T
+    view = memory.transpose(1, 0, 2)[:, :, 0]
+    assert a.size == 1 or not (view.flags.c_contiguous or view.flags.f_contiguous)
+    return view
 
 
 def assert_same_bits(got, want):
@@ -998,40 +1012,47 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes() or (np.isnan(got) and np.isnan(want)), (got, want)
 
 
+def assert_matches_numpy(samples):
+    """silverman_bandwidth against Silverman's rule from np.std and
+    np.percentile of the samples raveled in memory order: bit for bit where
+    the result does not depend on the order of summation (one block of
+    2^16 samples, or the IQR sets the rule), else to rtol 1e-14, the
+    rounding of adding the block sums in turn."""
+    s = np.ravel(samples, order="K")
+    std = np.std(s)
+    q75, q25 = np.percentile(s, [75, 25])
+    want = 0.9 * min(std, (q75 - q25) / 1.34) * s.size ** (-0.2)
+    got = silverman_bandwidth(samples)
+    if s.size <= 2**16 or not std < (q75 - q25) / 1.34:
+        assert_same_bits(got, want)
+    else:
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 class TestSilvermanBandwidth:
-    """The bandwidth is read in place in blocks and must equal np.std and
-    np.percentile bit for bit. Its sums follow numpy's pairwise-summation
-    split (halve, round the first half down to a multiple of 8): a sample
-    count past 2^16 that does not match np.std points at that split."""
+    """The bandwidth reads the samples in place, as a set, in blocks of 2^16
+    in memory order. Its quartiles are np.percentile's bit for bit; its std
+    is np.std's, bit for bit up to one block and up to the rounding of the
+    block sums' order above."""
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 2**16, 2**16 + 1, 3 * 2**16 + 17])
-    @pytest.mark.parametrize("layout", ["contiguous", "time_major"])
-    def test_std_follows_numpys_pairwise_summation_split(self, n, layout):
+    @pytest.mark.parametrize("layout", ["contiguous", "time_major", "strided"])
+    def test_matches_np_std_and_np_percentile(self, n, layout):
         s = 3.0 * np.random.default_rng(n).standard_normal(n) + 1.0
         # std below IQR / 1.34 for these normal samples, so std sets the rule
         # at the larger n; the exponential samples below let the IQR set it
         for samples in (s, np.random.default_rng(n).exponential(2.0, n)):
-            if layout == "time_major":
-                samples = time_major(samples.reshape(-1, 1) if n % 7 else samples.reshape(-1, 7))
-            assert_same_bits(silverman_bandwidth(samples), reference_silverman(samples))
-
-    @pytest.mark.parametrize("n", [2**17 + 12, 3 * 2**16 + 17, 5 * 2**16 + 3])
-    def test_leaf_sums_join_as_numpys_pairwise_summation_split(self, n):
-        # magnitudes over 16 decades: the rounding of the sum depends on the
-        # order of its additions, which np.std's own sum fixes
-        rng = np.random.default_rng(n)
-        leaves = brownian._pairwise_leaves(0, n)
-        assert [a for a, _ in leaves[1:]] == [b for _, b in leaves[:-1]]
-        assert leaves[0][0] == 0 and leaves[-1][1] == n and max(b - a for a, b in leaves) <= 2**16
-        for _ in range(4):
-            s = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
-            got = brownian._pairwise_join(iter([np.add.reduce(s[a:b]) for a, b in leaves]), n)
-            assert_same_bits(got, np.add.reduce(s))
+            if layout != "contiguous":
+                view = time_major if layout == "time_major" else one_of_three_particles
+                samples = view(samples.reshape(-1, 1) if n % 7 else samples.reshape(-1, 7))
+            assert_matches_numpy(samples)
 
     def test_trajectory_rows_cross_block_edges(self):
-        # 121 times per trajectory: rows straddle the leaves of the split
+        # 121 times per trajectory: rows straddle the 2^16-sample blocks,
+        # which the view fills as its memory-order ravel does
         view = time_major(np.random.default_rng(12).standard_normal((3 * 2**16 // 121 + 5, 121)))
-        assert_same_bits(silverman_bandwidth(view), reference_silverman(view))
+        assert_matches_numpy(view)
+        assert_same_bits(silverman_bandwidth(view), silverman_bandwidth(view.ravel(order="K")))
 
     @pytest.mark.parametrize(
         "samples",
@@ -1044,21 +1065,19 @@ class TestSilvermanBandwidth:
         ids=["two_values", "one_bin", "rounded"],
     )
     def test_heavy_ties(self, samples):
-        assert_same_bits(silverman_bandwidth(samples), reference_silverman(samples))
+        assert_matches_numpy(samples)
 
     def test_constant_samples(self):
         for n in (1, 100, 2**16 + 1):
-            s = np.full(n, 0.3)
-            assert_same_bits(silverman_bandwidth(s), reference_silverman(s))
+            assert_matches_numpy(np.full(n, 0.3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_give_the_reference_result(self, bad):
         s = np.random.default_rng(16).standard_normal(70_000)
         s[1234] = bad
         with np.errstate(invalid="ignore"):
-            want = reference_silverman(s)
-            assert_same_bits(silverman_bandwidth(s), want)
-            assert_same_bits(silverman_bandwidth(time_major(s.reshape(-1, 10))), want)
+            assert_matches_numpy(s)
+            assert_matches_numpy(time_major(s.reshape(-1, 10)))
 
     def test_float_return(self):
         assert isinstance(silverman_bandwidth(np.arange(10.0)), float)
@@ -1077,7 +1096,7 @@ class TestOrderStatistics:
         rng = np.random.default_rng(n)
         for s in (rng.standard_normal(n), rng.standard_cauchy(n), np.round(rng.standard_normal(n), 2)):
             want = np.percentile(s, [q])
-            for samples in (s, time_major(s.reshape(-1, 1))):
+            for samples in (s, time_major(s.reshape(-1, 1)), one_of_three_particles(s.reshape(-1, 1))):
                 got = brownian._percentiles(samples, [q], *brownian._sample_range(samples))
                 assert got.tobytes() == want.tobytes(), (q, n, got, want)
 
