@@ -143,6 +143,14 @@ class LangevinConfig:
     p_init: object = "stationary"
 
     def __post_init__(self):
+        # the scalar checks come first: the temperature tuple is sized by n_particles
+        for name in ("mass", "friction", "dt", "t_end"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be positive")
+        if self.n_particles < 1 or self.n_trajectories < 1:
+            raise ValidationError("n_particles and n_trajectories must be >= 1")
+        if self.store_every < 1:
+            raise ValidationError("store_every must be >= 1")
         temps = tuple(float(t) for t in np.atleast_1d(self.temperatures))
         if len(temps) == 1:
             # one 8-byte reference per particle
@@ -153,15 +161,8 @@ class LangevinConfig:
                 f"{len(temps)} temperatures for {self.n_particles} particles"
             )
         object.__setattr__(self, "temperatures", temps)
-        for name in ("mass", "friction", "dt", "t_end"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
         if any(t < 0 for t in temps):
             raise ValidationError("temperatures must be nonnegative")
-        if self.n_particles < 1 or self.n_trajectories < 1:
-            raise ValidationError("n_particles and n_trajectories must be >= 1")
-        if self.store_every < 1:
-            raise ValidationError("store_every must be >= 1")
         n_springs = len(self.potential.spring_constants)
         if self.potential.kind == "harmonic" and n_springs not in (1, self.n_particles):
             raise ValidationError(f"{n_springs} spring constants for {self.n_particles} particles")
@@ -459,7 +460,10 @@ def _epsilon_steps(ensemble: TrajectoryEnsemble, epsilon: float) -> int:
     if ensemble.n_times < 2:
         raise ValidationError("velocity estimates need at least two stored times")
     dt_store = ensemble.dt_store
-    k = int(round(epsilon / dt_store))
+    steps = epsilon / dt_store
+    if not np.isfinite(steps):
+        raise ValidationError(f"epsilon={epsilon:.3g} is not a finite number of stored steps {dt_store:.3g}")
+    k = int(round(steps))
     if k < 1 or abs(k * dt_store - epsilon) > 1e-9 * max(epsilon, dt_store):
         raise ValidationError(
             f"epsilon={epsilon:.3g} is not a multiple of the stored step "

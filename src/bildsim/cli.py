@@ -87,8 +87,9 @@ def _integer(low=-math.inf, high=math.inf):
 
 _flag = _json(bool, "true or false")
 _string = _json(str, "a string")
-# numbers are returned as given: LangevinConfig.to_dict() is hashed into trajectory files
-_number = _json((int, float), "a finite number", lambda v: abs(v) <= sys.float_info.max)
+# numbers are returned as given: LangevinConfig.to_dict() is hashed into trajectory files;
+# an int must be one that a float64 holds exactly (Python compares the two exactly)
+_number = _json((int, float), "a finite float64", lambda v: abs(v) <= sys.float_info.max and float(v) == v)
 
 
 def _list_of(parse, length=None):
@@ -228,8 +229,8 @@ def _run_chsh_quantum(params: dict, seed: int, out: str, paper_units: bool) -> l
     }
     _write_correlations(out, rows, summary)
     n = params["sweep_points"]
-    # theta, S, and the correlations and temporaries behind S
-    check_memory(8 * 8 * n, "the sweep")
+    # theta, -theta, and at the peak p and E(a1,b2) while E(a2,b2) is built (measured 8.1 arrays)
+    check_memory(9 * 8 * n, "the sweep")
     thetas = np.linspace(0.0, np.pi, n)
     sweep = chsh.chsh_value(rho, chsh.ChshAngles(0.0, np.pi / 2, thetas, -thetas))
     runio.write_csv(os.path.join(out, "sweep.csv"), ["theta", "S"], zip(map(_fmt, thetas), map(_fmt, sweep)))

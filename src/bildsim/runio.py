@@ -124,10 +124,12 @@ def load_trajectories(path: str) -> dict:
         header_line = fh.readline()
         try:
             header = json.loads(header_line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"bad trajectory header: {exc}") from exc
         if not isinstance(header, dict) or header.get("schema_version") != TRAJECTORY_SCHEMA_VERSION:
             raise ValidationError(f"not a trajectory file of schema {TRAJECTORY_SCHEMA_VERSION}")
+        if header.get("dtype") != "<f8":
+            raise ValidationError(f"trajectory blocks of dtype {header.get('dtype')!r:.20}, not '<f8'")
         blocks = header.get("blocks")
         if not isinstance(blocks, list):
             raise ValidationError("trajectory header has no list of blocks")
@@ -136,7 +138,9 @@ def load_trajectories(path: str) -> dict:
         for block in blocks:
             if not (
                 isinstance(block, dict)
-                and isinstance(block.get("name"), str)
+                # each of the three arrays at most once; "header" is taken
+                and block.get("name") in ("times", "x", "p")
+                and block["name"] not in out
                 and isinstance(block.get("shape"), list)
                 and all(type(k) is int and k >= 0 for k in block["shape"])
             ):
@@ -146,6 +150,8 @@ def load_trajectories(path: str) -> dict:
             if nbytes > size - fh.tell():
                 raise ValidationError(f"trajectory block {block['name']!r} is truncated")
             out[block["name"]] = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape)
+        if "times" not in out or "x" not in out:
+            raise ValidationError("trajectory file has no times or no x block")
         excess = size - fh.tell()
         if excess:
             raise ValidationError(f"{excess} bytes follow the last trajectory block")

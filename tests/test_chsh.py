@@ -133,11 +133,14 @@ class TestChshValue:
             assert np.cos(np.pi / 60) ** 2 * bound <= grid_max <= bound + 1e-12
 
     def test_grid_maximum_matches_one_broadcast(self):
-        # one a1 value at a time against S over the whole 61^4 grid at once: equal maximum
-        # and, among equal values, the same first settings in grid order
+        # the separable maximum against S over the whole 61^4 grid at once: equal maximum
+        # and, among equal values, the same first settings in grid order; for I/4 every
+        # S is 0, so every setting ties; at the third random state's first maximum,
+        # the largest -S is one ulp above the largest S
         rng = np.random.default_rng(15)
         t = np.linspace(-np.pi, np.pi, 61)
-        for rho in [chsh.singlet_state()] + [random_density(rng) for _ in range(2)]:
+        states = [chsh.singlet_state(), np.eye(4, dtype=complex) / 4]
+        for rho in states + [random_density(rng) for _ in range(3)]:
             grid = chsh.ChshAngles(t[:, None, None, None], t[:, None, None], t[:, None], t)
             s = np.abs(chsh.chsh_value(rho, grid))
             i1, i2, j1, j2 = np.unravel_index(np.argmax(s), s.shape)
@@ -145,9 +148,9 @@ class TestChshValue:
             assert grid_max == s[i1, i2, j1, j2]
             assert best.as_tuple() == (t[i1], t[i2], t[j1], t[j2])
 
-    def test_grid_maximum_peak_is_two_slices(self):
-        # one 61^3 slice of S per value of a1; the last one lives while the
-        # next is built: 3.6 MB, where the whole grid is 110 MB
+    def test_grid_maximum_peak_is_two_tables(self):
+        # the 61^3 tables p and q over (a1, a2, b) live together: 3.6 MB,
+        # where S over the whole grid is 110 MB
         chsh.chsh_grid_max(chsh.singlet_state())
         tracemalloc.start()
         try:
@@ -156,6 +159,18 @@ class TestChshValue:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_sweep_peak_is_within_its_estimate(self):
+        # the chsh-quantum sweep checks 9 float64 arrays of its length against memory
+        n = 2 * 10**5
+        tracemalloc.start()
+        try:
+            thetas = np.linspace(0.0, np.pi, n)
+            chsh.chsh_value(chsh.singlet_state(), chsh.ChshAngles(0.0, np.pi / 2, thetas, -thetas))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9 * 8 * n
 
     def test_state_validated_once(self, monkeypatch):
         calls = []

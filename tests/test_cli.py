@@ -562,17 +562,38 @@ class TestTrajectoryFile:
         with pytest.raises(cli.ValidationError, match="8 bytes follow"):
             runio.load_trajectories(str(tmp_path / "long.bin"))
         body = data[data.index(b"\n") + 1 :]
+        # each header passes the schema and dtype checks and fails the one its reason names
         foreign = [
-            {"schema_version": 1},
-            {"schema_version": 1, "blocks": [{"shape": [11]}]},
-            {"schema_version": 1, "blocks": [{"name": "times", "shape": "ab"}]},
-            {"schema_version": 1, "blocks": [{"name": "times", "shape": [-1]}]},
-            {"schema_version": 1, "blocks": [{"name": "times", "shape": [10**12]}]},
+            ("no list of blocks", {}),
+            ("foreign trajectory block", {"blocks": [{"shape": [11]}]}),
+            ("foreign trajectory block", {"blocks": [{"name": "times", "shape": "ab"}]}),
+            ("foreign trajectory block", {"blocks": [{"name": "times", "shape": [-1]}]}),
+            ("block 'times' is truncated", {"blocks": [{"name": "times", "shape": [10**12]}]}),
         ]
-        for i, header in enumerate(foreign):
+        for i, (reason, blocks) in enumerate(foreign):
+            header = dict(schema_version=1, dtype="<f8", **blocks)
             (tmp_path / f"foreign{i}.bin").write_bytes(json.dumps(header).encode() + b"\n" + body)
-            with pytest.raises(cli.ValidationError):
+            with pytest.raises(cli.ValidationError, match=reason):
                 runio.load_trajectories(str(tmp_path / f"foreign{i}.bin"))
+        (tmp_path / "nested.bin").write_bytes(b"[" * 10**5 + b"]" * 10**5 + b"\n" + body)
+        with pytest.raises(cli.ValidationError, match="bad trajectory header"):
+            runio.load_trajectories(str(tmp_path / "nested.bin"))
+        # headers that differ from a valid one in dtype or block names only, each
+        # followed by as many bytes as its blocks take
+        good = json.loads(data[: data.index(b"\n")])
+        times, x = good["blocks"]
+        altered = [
+            ("dtype", dict(good, dtype=">f8")),
+            ("no times", dict(good, blocks=[x])),
+            ("no x", dict(good, blocks=[times])),
+            ("foreign trajectory block", dict(good, blocks=[times, x, {"name": "x", "shape": [0]}])),
+            ("foreign trajectory block", dict(good, blocks=[times, x, {"name": "header", "shape": [0]}])),
+        ]
+        for i, (reason, header) in enumerate(altered):
+            size = sum(8 * int(np.prod(block["shape"])) for block in header["blocks"])
+            (tmp_path / f"altered{i}.bin").write_bytes(json.dumps(header).encode() + b"\n" + bytes(size))
+            with pytest.raises(cli.ValidationError, match=reason):
+                runio.load_trajectories(str(tmp_path / f"altered{i}.bin"))
 
     @staticmethod
     def save_peak(path, x):
@@ -663,3 +684,31 @@ def test_mutated_config_exits_cleanly(command, data):
     assert rc in (0, 2, 3)
     if rc:
         assert_one_error_line(rc, lines, rc)
+
+
+# not finite, near the float64 limits, and ints beyond an int64 and beyond what a float64 holds
+EXTREMES = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e-300, 5e-324, 2**63, 2**64 + 1, -0.0]
+
+
+@pytest.mark.parametrize("value", EXTREMES, ids=repr)
+@pytest.mark.parametrize("command", sorted(FUZZ_SEEDS))
+def test_extreme_number_at_every_leaf_exits_cleanly(command, value):
+    # JUNK draws only small numbers; these reach the overflow, rounding and
+    # float64 edges of every numeric field, one field at a time
+    config = {"command": command, "params": FUZZ_SEEDS[command], "seed": 7}
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path = os.path.join(tmp, "config.json")
+        for path, key in locations(config):
+            mutated = copy.deepcopy(config)
+            container = mutated
+            for step in path:
+                container = container[step]
+            if isinstance(container[key], bool) or not isinstance(container[key], (int, float)):
+                continue
+            container[key] = value
+            with open(config_path, "w") as fh:
+                json.dump(mutated, fh)
+            rc, lines = run_main(["--config", config_path, "--out", os.path.join(tmp, "o")])
+            assert rc in (0, 2, 3), (path, key)
+            if rc:
+                assert_one_error_line(rc, lines, rc)
