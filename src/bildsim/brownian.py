@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NumericalError, RegimeError, ValidationError, check_memory
+from .errors import NumericalError, RegimeError, ValidationError, check_memory, philox
 
 DEFAULT_MIN_BIN_COUNT = 200
 
@@ -151,6 +151,8 @@ class LangevinConfig:
             raise ValidationError("n_particles and n_trajectories must be >= 1")
         if self.store_every < 1:
             raise ValidationError("store_every must be >= 1")
+        if not math.isfinite(self.tau_p):
+            raise ValidationError(f"tau_p = mass / friction = {self.mass:.3g} / {self.gamma:.3g} overflows")
         temps = tuple(float(t) for t in np.atleast_1d(self.temperatures))
         if len(temps) == 1:
             # one 8-byte reference per particle
@@ -360,8 +362,9 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     standard-normal array of shape x.shape per step. The state that carries
     the noise (p, or x when overdamped) is checked every 200 steps. Storage
     larger than the machine's physical memory, a step count t_end / dt too
-    large to be a number, or more than 10^12 particle-steps is a
-    ValidationError, raised before anything is allocated.
+    large to be a number, more than 10^12 particle-steps, or a seed that is
+    not an integer in [0, 2^64) is a ValidationError, raised before anything
+    is allocated.
 
     The stored arrays are held time-major, (time, trajectory, particle), and
     returned as (trajectory, time, particle) views of that memory: they index
@@ -380,7 +383,7 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
             f"{n_steps} steps x {config.n_trajectories} trajectories x {config.n_particles} "
             f"particles exceed the work ceiling of {_MAX_PARTICLE_STEPS:.0e} particle-steps"
         )
-    rng = np.random.Generator(np.random.Philox(np.uint64(config.seed)))
+    rng = philox(config.seed)
     # equilibrium variances: T/k in the harmonic well (LangevinConfig requires
     # it for a stationary position start), m T for the momenta
     shape = (config.n_trajectories, config.n_particles)
@@ -482,39 +485,6 @@ def _epsilon_steps(ensemble: TrajectoryEnsemble, epsilon: float) -> int:
     return k
 
 
-def _lattice_blocks(ensemble: TrajectoryEnsemble, lattice: slice, epsilon: float, block: int):
-    """Per block of ``block`` trajectories, in order: their particle-0
-    positions at the stored times ``lattice``, C-contiguous (trajectory,
-    lattice time), and ``steps``, the displacement of each window between
-    neighbouring lattice times, divided by epsilon.
-
-    ``steps`` is flat: a zero, then per trajectory its windows in order and
-    another zero. Read as (trajectory, lattice time), ``steps[1:]`` puts each
-    window at the time where it starts and ``steps[:-1]`` at the time where
-    it ends, so one array serves both without a copy. Both arrays are
-    allocated once and refilled for each block, so a block's pair is valid
-    only until the next is drawn. The estimators' working
-    set, at most 40 bytes per trajectory and lattice time of one block, is
-    checked against physical memory before anything is allocated.
-    """
-    n_trajectories = ensemble.x.shape[0]
-    n_lattice = len(range(*lattice.indices(ensemble.n_times)))
-    rows = min(n_trajectories, block)
-    check_memory(40 * rows * n_lattice, "the velocity estimator's working set")
-    pos_buffer = np.empty((rows, n_lattice))
-    steps_buffer = np.zeros(rows * n_lattice + 1)
-    for start in range(0, n_trajectories, block):
-        pos = pos_buffer[: n_trajectories - start]
-        # a lattice time of time-major memory is one contiguous row; the copy
-        # transposes them into trajectory-major order
-        np.copyto(pos, ensemble.x[start : start + block, lattice, 0])
-        # the zero padding sits at the same places in every block
-        steps = steps_buffer[: pos.size + 1]
-        np.subtract(pos[:, 1:], pos[:, :-1], out=steps[1:].reshape(pos.shape)[:, :-1])
-        steps /= epsilon
-        yield pos, steps
-
-
 def _binned_velocity(
     counts: np.ndarray, sums: np.ndarray, sq: np.ndarray, edges: np.ndarray, epsilon: float, min_count: int
 ) -> VelocityFieldEstimate:
@@ -571,6 +541,10 @@ def coarse_velocities(
                 f"within {ensemble.n_times} stored times"
             )
         lattice = slice(t_index - k, t_index + k + 1, k)
+    n_trajectories = ensemble.x.shape[0]
+    n_lattice = len(range(*lattice.indices(ensemble.n_times)))
+    rows = min(n_trajectories, _BLOCK)
+    check_memory(40 * rows * n_lattice, "the velocity estimator's working set")
     n_bins = edges.size - 1
     occupancy = np.zeros(n_bins + 2, dtype=np.intp)
     # per direction, v_plus then v_minus: the bin counts of the lattice times
@@ -579,7 +553,20 @@ def coarse_velocities(
     idle = np.zeros((2, n_bins + 2), dtype=np.intp)
     sums = np.zeros((2, n_bins + 2))
     sq = np.zeros((2, n_bins + 2))
-    for pos, steps in _lattice_blocks(ensemble, lattice, epsilon, _BLOCK):
+    # per block, the particle-0 positions at the lattice times, (trajectory,
+    # lattice time), and the windows' displacements over epsilon, flat: a
+    # zero, then per trajectory its windows and another zero. Read as pos,
+    # steps[1:] puts each window at its start and steps[:-1] at its end.
+    pos_buffer = np.empty((rows, n_lattice))
+    steps_buffer = np.zeros(rows * n_lattice + 1)
+    for start in range(0, n_trajectories, _BLOCK):
+        pos = pos_buffer[: n_trajectories - start]
+        # a lattice time of time-major memory is one contiguous row; the copy
+        # transposes them into trajectory-major order
+        np.copyto(pos, ensemble.x[start : start + _BLOCK, lattice, 0])
+        steps = steps_buffer[: pos.size + 1]
+        np.subtract(pos[:, 1:], pos[:, :-1], out=steps[1:].reshape(pos.shape)[:, :-1])
+        steps /= epsilon
         # digitize's 0 (below the edges) and n_bins + 1 (at or above the last
         # edge, or nan) index two bins that are dropped
         idx = np.digitize(pos, edges)
@@ -671,9 +658,13 @@ def momentum_resolution_check(
         )
     k = _epsilon_steps(ensemble, epsilon)
     lattice = slice(0, ensemble.n_times, k)
-    # every trajectory in one block
-    pos, steps = next(_lattice_blocks(ensemble, lattice, epsilon, ensemble.x.shape[0]))
-    disp = steps[1:].reshape(pos.shape)[:, :-1]
+    n_lattice = len(range(0, ensemble.n_times, k))
+    # at most 33 bytes per trajectory and lattice time: the displacements, the
+    # bin mask, and when every momentum is in the bin the two windows picked
+    # and np.std's deviations from their mean
+    check_memory(33 * ensemble.x.shape[0] * n_lattice, "the momentum check's working set")
+    disp = np.diff(ensemble.x[:, lattice, 0], axis=1)
+    disp /= epsilon
     # anchors are the inner lattice times: window j + 1 leaves anchor j and
     # window j arrives there
     p_mid = ensemble.p[:, lattice, 0][:, 1:-1]
@@ -882,7 +873,8 @@ def log_density_gradient(
     for i, x in enumerate(pts):
         d = lo + np.arange(first[i], stop[i]) * delta - x
         w = counts[first[i] : stop[i]] * np.exp(-0.5 * (d / h) ** 2)
-        num[i] = w @ d
+        # a BLAS dot would split its sum by thread count; add.reduce does not
+        num[i] = np.add.reduce(w * d)
         den[i] = w.sum()
     with np.errstate(invalid="ignore"):
         return num / (h * h * den)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, ValidationError, check_memory
+from .errors import DimensionMismatchError, ValidationError, check_memory, philox
 
 PAIR_NAMES = ("A1B1", "A1B2", "A2B1", "A2B2", "A1A2", "B1B2")
 _COLUMNS = {"A1": 0, "A2": 1, "B1": 2, "B2": 3}
@@ -191,6 +191,8 @@ def hv_sample(strategy: HvStrategy, n: int, seed: int) -> OutcomeStream:
     """
     if n < 1:
         raise ValidationError("need at least one record")
+    # every strategy's seed is checked, though the constant one draws nothing
+    rng = philox(seed)
     # the four int8 outcomes per record; sphere_sign also reuses one block of
     # lambda (3 float64) and its four projections (4 float64)
     block_bytes = 0 if strategy.kind == "constant" else 56 * _BLOCK + _SMALL_BYTES
@@ -198,7 +200,6 @@ def hv_sample(strategy: HvStrategy, n: int, seed: int) -> OutcomeStream:
     if strategy.kind == "constant":
         out = np.tile(np.array(strategy.constants, dtype=np.int8), (n, 1))
         return OutcomeStream(outcomes=out, seed=seed, strategy=strategy.describe())
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     # sign(lambda . n) does not depend on |lambda|, so lambda is not normalised
     directions = np.array([[np.sin(t), 0.0, np.cos(t)] for t in strategy.angles.as_tuple()]).T
     out = np.empty((n, 4), dtype=np.int8)

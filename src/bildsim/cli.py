@@ -210,12 +210,16 @@ def _quantum_pairs(rho, angles: chsh.ChshAngles) -> dict:
 
 def _write_correlations(out: str, rows: list, summary: dict) -> list[str]:
     header = ["pair", "empirical", "exact_or_quantum", "n", "seed"]
-    runio.write_csv(os.path.join(out, "correlations.csv"), header, rows)
+    # the JSON first: a number it cannot hold fails the run before anything is written
     runio.write_json(os.path.join(out, "summary.json"), summary)
+    runio.write_csv(os.path.join(out, "correlations.csv"), header, rows)
     return ["correlations.csv", "summary.json"]
 
 
 def _run_chsh_quantum(params: dict, seed: int, out: str, paper_units: bool) -> list[str]:
+    n = params["sweep_points"]
+    # theta, -theta, and at the peak p and E(a1,b2) while E(a2,b2) is built (measured 8.1 arrays)
+    check_memory(9 * 8 * n, "the sweep")
     angles = params["angles"]
     rho = chsh.singlet_state()
     s = chsh.chsh_value(rho, angles)
@@ -228,9 +232,6 @@ def _run_chsh_quantum(params: dict, seed: int, out: str, paper_units: bool) -> l
         "degenerate_settings": audit["degenerate"],
     }
     _write_correlations(out, rows, summary)
-    n = params["sweep_points"]
-    # theta, -theta, and at the peak p and E(a1,b2) while E(a2,b2) is built (measured 8.1 arrays)
-    check_memory(9 * 8 * n, "the sweep")
     thetas = np.linspace(0.0, np.pi, n)
     sweep = chsh.chsh_value(rho, chsh.ChshAngles(0.0, np.pi / 2, thetas, -thetas))
     runio.write_csv(os.path.join(out, "sweep.csv"), ["theta", "S"], zip(map(_fmt, thetas), map(_fmt, sweep)))
@@ -413,8 +414,9 @@ fig.savefig("velocity_field.png", dpi=150)
 def _write_monte_carlo_outputs(out: str, rows: list, summary: dict) -> list[str]:
     """results.csv, summary.json, and a plot of the first row's estimate against its exact value."""
     header = ["quantity", "exact", "mc_mean", "mc_stderr", "n", "seed"]
-    runio.write_csv(os.path.join(out, "results.csv"), header, rows)
+    # the JSON first: a number it cannot hold fails the run before anything is written
     runio.write_json(os.path.join(out, "summary.json"), summary)
+    runio.write_csv(os.path.join(out, "results.csv"), header, rows)
     runio.write_csv(os.path.join(out, "plot_data.csv"), header[:4], [rows[0][:4]])
     runio.write_atomic(os.path.join(out, "plot.py"), _SCATTER_PLOT.encode())
     return ["results.csv", "summary.json", "plot_data.csv", "plot.py"]

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared by all bildsim modules, and the memory check
-that turns an oversized request into one of them."""
+"""Exception hierarchy shared by all bildsim modules, and the two checks that
+turn a bad request into one of them: the memory check, and the seed check
+of the generator that every sampler draws from."""
 
 import os
+
+import numpy as np
 
 
 class BildsimError(Exception):
@@ -37,3 +40,10 @@ def check_memory(nbytes: int, what: str) -> None:
             f"{what} needs {nbytes / 2**30:.3g} GiB, more than "
             f"the {physical_bytes / 2**30:.3g} GiB of physical memory"
         )
+
+
+def philox(seed: int) -> np.random.Generator:
+    """A fresh generator on the Philox stream keyed by an integer seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2^64), not {seed!r}")
+    return np.random.Generator(np.random.Philox(np.uint64(seed)))

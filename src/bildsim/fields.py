@@ -19,15 +19,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, ValidationError, check_memory
+from .errors import DimensionMismatchError, ValidationError, check_memory, philox
 
-# samples per block of the sampler and of the form evaluation; samples per
-# chunk of a Monte Carlo estimate, which holds the fields of one chunk at a
-# time; and the bytes that a memory estimate allows beside the arrays of n
-# samples, of one chunk and of one block: the generator, the 2d x 2d matrices
-# and the array headers (under 6 KiB at d = 5, tracemalloc)
+# samples per block of the sampler and of a Monte Carlo estimate, which holds
+# the fields of one block at a time; and the bytes that a memory estimate
+# allows beside the arrays of n samples and of one block: the generator, the
+# 2d x 2d matrices and the array headers (under 6 KiB at d = 5, tracemalloc)
 _BLOCK = 2**14
-_CHUNK = 4 * _BLOCK
 _SMALL_BYTES = 2**16
 
 
@@ -118,13 +116,6 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def _philox(seed: int) -> np.random.Generator:
-    """A fresh generator on the Philox stream keyed by an integer seed."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be an integer in [0, 2^64), not {seed!r}")
-    return np.random.Generator(np.random.Philox(np.uint64(seed)))
-
-
 def sample_fields(measure: FieldMeasure, n: int, seed) -> np.ndarray:
     """Draw n field samples, returned as an (n, d) complex array.
 
@@ -142,7 +133,7 @@ def sample_fields(measure: FieldMeasure, n: int, seed) -> np.ndarray:
     """
     if n < 1:
         raise ValidationError("need at least one sample")
-    rng = seed if isinstance(seed, np.random.Generator) else _philox(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else philox(seed)
     d = measure.dim
     # phi, 16 bytes per sample and component, and one block of normals
     check_memory(16 * d * (n + _BLOCK) + _SMALL_BYTES, "the field samples")
@@ -172,47 +163,38 @@ def exact_average(variable: QuadraticVariable, measure: FieldMeasure) -> float:
     return linalg.trace_product(variable.kernel, measure.covariance)
 
 
-def _form_values(variables, samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Per sample, the product of Re<phi|A phi> over the kernels A of ``variables``,
-    written into ``out``, one value per sample, and returned.
-
-    Each A acts through S, the real form of phi -> A phi, which is symmetric
-    because A is Hermitian: Re<phi|A phi> = x S x^T on phi's interleaved float
-    view x. The forms are evaluated _BLOCK samples at a time, and each block's
-    values are multiplied in place.
-    """
-    n, d = samples.shape
+def _form_values(forms, samples: np.ndarray, out: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """Per sample, x S x^T for the one form S of ``forms``, or the product of
+    that of its two, into ``out``, with x S in ``products``. S, the real form
+    of phi -> A phi, is symmetric for a Hermitian kernel A, and x S x^T is
+    Re<phi|A phi> on phi's interleaved float view x."""
     x = samples.view(np.float64)
-    forms = [_real_form(v.kernel.T).reshape(2 * d, 2 * d) for v in variables]
-    x_s = np.empty((min(n, _BLOCK), 2 * d))
-    for start in range(0, n, _BLOCK):
-        rows = x[start : start + _BLOCK]
-        block_vals = out[start : start + len(rows)]
-        products = x_s[: len(rows)]
-        np.einsum("nk,nk->n", rows, np.matmul(rows, forms[0], out=products), out=block_vals)
-        for form in forms[1:]:
-            block_vals *= np.einsum("nk,nk->n", rows, np.matmul(rows, form, out=products))
+    np.einsum("nk,nk->n", x, np.matmul(x, forms[0], out=products), out=out)
+    if len(forms) == 2:
+        out *= np.einsum("nk,nk->n", x, np.matmul(x, forms[1], out=products))
     return out
 
 
 def _monte_carlo(variables, measure: FieldMeasure, n: int, seed: int) -> MonteCarloEstimate:
-    """Mean and standard error of the product of ``variables`` over n samples."""
+    """Mean and standard error of the product of ``variables`` over n samples.
+
+    The samples are drawn and evaluated _BLOCK at a time on one generator:
+    each block of phi continues the stream of the last and is freed once its
+    values are in place, so the values are those of one call for all n.
+    """
     if n < 2:
         raise ValidationError("Monte Carlo estimate needs n >= 2")
-    rng = _philox(seed)
-    # the values, 8 bytes per sample, and one chunk of phi, 16 bytes per
-    # sample and component, beside one block of normals or of x S, the same
-    # per row, and the row sums of x S
-    check_memory(
-        8 * n + 16 * measure.dim * (min(n, _CHUNK) + _BLOCK) + 8 * _BLOCK + _SMALL_BYTES,
-        "the Monte Carlo estimate",
-    )
-    # each chunk of phi continues the stream of the last and is freed once
-    # its values are in place, so the values are those of one call for all n
+    rng = philox(seed)
+    d = measure.dim
+    # the values, 8 bytes per sample, and for one block phi, its normals and
+    # x S, 16 bytes per sample and component each
+    check_memory(8 * n + 48 * d * _BLOCK + _SMALL_BYTES, "the Monte Carlo estimate")
+    forms = [_real_form(v.kernel.T).reshape(2 * d, 2 * d) for v in variables]
+    products = np.empty((min(n, _BLOCK), 2 * d))
     vals = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        chunk = vals[start : start + _CHUNK]
-        _form_values(variables, sample_fields(measure, len(chunk), rng), chunk)
+    for start in range(0, n, _BLOCK):
+        block = vals[start : start + _BLOCK]
+        _form_values(forms, sample_fields(measure, len(block), rng), block, products[: len(block)])
     # numpy's mean and std(ddof=1), step for step, with the squared
     # deviations written over the values instead of into a temporary
     mean = vals.sum() / n

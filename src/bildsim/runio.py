@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 TRAJECTORY_SCHEMA_VERSION = 1
 # save_trajectories copies at most about this many bytes of an array at once
@@ -49,12 +49,18 @@ def write_atomic(path: str, data: bytes) -> None:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, no float repr surprises, newline end."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic JSON: sorted keys, no float repr surprises, newline end.
+    nan and infinity, which JSON cannot hold, raise ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def write_json(path: str, obj) -> None:
-    write_atomic(path, canonical_json(obj).encode("utf-8"))
+    """Write canonical_json(obj); a value JSON cannot hold is a NumericalError."""
+    try:
+        text = canonical_json(obj)
+    except ValueError as exc:
+        raise NumericalError(f"{os.path.basename(path)} would hold a non-finite number: {exc}") from exc
+    write_atomic(path, text.encode("utf-8"))
 
 
 def write_csv(path: str, header: list[str], rows) -> None:

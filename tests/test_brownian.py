@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -385,6 +388,95 @@ class TestOverdamped:
         np.testing.assert_allclose(config.diffusion_coefficients(), [1.0])
 
 
+class TestDiscreteLaw:
+    """Both integrators against the exact law of their Euler-Maruyama chains
+    in a harmonic well, which is linear and Gaussian. Overdamped, per
+    particle: x' = (1 - a) x + b xi with a = k dt / gamma, b^2 = 2 T dt / gamma,
+    so after n steps the mean is x0 (1 - a)^n and the variance
+    b^2 (1 - (1 - a)^2n) / (1 - (1 - a)^2). Underdamped: s = (x, p) steps as
+    s' = M s + (0, b xi) with M = [[1, dt/m], [-k dt, 1 - gamma dt/m]] and
+    b^2 = 2 gamma T dt, so the mean is M^n s0 and the covariance follows
+    Sigma' = M Sigma M^T + diag(0, b^2)."""
+
+    SPRINGS = (1.0, 2.5)
+
+    def overdamped(self, temperatures, n_trajectories, seed=5):
+        config = harmonic_config(
+            n_particles=2, potential=Potential.harmonic(list(self.SPRINGS)), temperatures=temperatures,
+            friction=3.0, x_init=1.5, dt=1e-3, t_end=0.2, n_trajectories=n_trajectories, store_every=40, seed=seed,
+        )
+        a = np.array(self.SPRINGS) * config.dt / config.gamma
+        b2 = 2.0 * config.temps * config.dt / config.gamma
+        # the steps at the six stored times, one row each
+        steps = np.arange(0, 201, 40)[:, None]
+        mean = 1.5 * (1.0 - a) ** steps
+        var = b2 * (1.0 - (1.0 - a) ** (2 * steps)) / (1.0 - (1.0 - a) ** 2)
+        return integrate_overdamped(config), mean, var
+
+    def underdamped(self, temperatures, n_trajectories, seed=6):
+        config = harmonic_config(
+            n_particles=2, potential=Potential.harmonic(list(self.SPRINGS)), temperatures=temperatures,
+            mass=2.0, friction=1.5, x_init=1.0, p_init=-0.5, dt=0.01, t_end=3.0,
+            n_trajectories=n_trajectories, store_every=60, seed=seed,
+        )
+        ens = integrate_underdamped(config)
+        dt, m, gamma = config.dt, config.mass, config.gamma
+        # per particle, the mean and covariance at every stored time
+        means, covs = [], []
+        for k, temperature in zip(self.SPRINGS, config.temps):
+            step = np.array([[1.0, dt / m], [-k * dt, 1.0 - gamma * dt / m]])
+            noise = np.diag([0.0, 2.0 * gamma * temperature * dt])
+            s, sigma = np.array([1.0, -0.5]), np.zeros((2, 2))
+            mean, cov = [s], [sigma]
+            for n in range(1, len(ens.times)):
+                for _ in range(config.store_every):
+                    s, sigma = step @ s, step @ sigma @ step.T + noise
+                mean.append(s)
+                cov.append(sigma)
+            means.append(mean)
+            covs.append(cov)
+        # (time, particle, 2) and (time, particle, 2, 2)
+        return ens, np.array(means).transpose(1, 0, 2), np.array(covs).transpose(1, 0, 2, 3)
+
+    def test_overdamped_zero_temperature_is_exact(self):
+        ens, mean, _ = self.overdamped((0.0, 0.0), n_trajectories=3)
+        assert ens.x.shape[1] == mean.shape[0] == 6
+        for x in ens.x:
+            np.testing.assert_allclose(x, mean, rtol=1e-12, atol=0.0)
+
+    def test_underdamped_zero_temperature_is_exact(self):
+        ens, mean, _ = self.underdamped((0.0, 0.0), n_trajectories=3)
+        assert ens.x.shape[1] == mean.shape[0] == 6
+        # relative to the size of the state: x and p pass through zero
+        scale = np.linalg.norm(mean, axis=-1)
+        for x, p in zip(ens.x, ens.p):
+            err = np.hypot(x - mean[..., 0], p - mean[..., 1])
+            assert np.all(err <= 1e-12 * scale), err / scale
+
+    def test_overdamped_moments(self):
+        ens, mean, var = self.overdamped((1.0, 0.3), n_trajectories=20_000)
+        n = ens.x.shape[0]
+        got_mean, got_var = ens.x.mean(axis=0), ens.x.var(axis=0, ddof=1)
+        # the start is deterministic; every later time has noise
+        np.testing.assert_array_equal(got_var[0], 0.0)
+        assert np.all(np.abs(got_mean[1:] - mean[1:]) < 4.0 * np.sqrt(var[1:] / n))
+        assert np.all(np.abs(got_var[1:] / var[1:] - 1.0) < 5.0 * np.sqrt(2.0 / (n - 1)))
+
+    def test_underdamped_moments(self):
+        ens, mean, cov = self.underdamped((1.0, 0.3), n_trajectories=20_000)
+        n = ens.x.shape[0]
+        s = np.stack([ens.x, ens.p], axis=-1)[:, 1:]
+        mean, cov = mean[1:], cov[1:]
+        var = np.diagonal(cov, axis1=-2, axis2=-1)
+        assert np.all(np.abs(s.mean(axis=0) - mean) < 4.0 * np.sqrt(var / n))
+        assert np.all(np.abs(s.var(axis=0, ddof=1) / var - 1.0) < 5.0 * np.sqrt(2.0 / (n - 1)))
+        # the x-p covariance, whose sampling variance is (Sxx Spp + Sxp^2) / n
+        centred = s - s.mean(axis=0)
+        got_xp = (centred[..., 0] * centred[..., 1]).sum(axis=0) / (n - 1)
+        sxp = cov[..., 0, 1]
+        assert np.all(np.abs(got_xp - sxp) < 5.0 * np.sqrt((var[..., 0] * var[..., 1] + sxp**2) / n))
+
+
 @pytest.mark.parametrize("integrate", [integrate_overdamped, integrate_underdamped])
 def test_storage_beyond_physical_memory_rejected(integrate):
     config = harmonic_config(n_trajectories=10**30)
@@ -399,8 +491,9 @@ def test_storage_beyond_physical_memory_rejected(integrate):
         (dict(x_init="statoinary"), "unknown x_init 'statoinary'"),
         (dict(p_init="x"), "unknown p_init 'x'"),
         (dict(potential=Potential.polynomial([0.0, 0.0, 0.5])), "requires a harmonic potential"),
+        (dict(friction=5e-324), "tau_p = mass / friction"),
     ],
-    ids=["spring-count", "x_init", "p_init", "stationary-polynomial"],
+    ids=["spring-count", "x_init", "p_init", "stationary-polynomial", "tau_p-overflow"],
 )
 def test_invalid_model_rejected_at_construction(overrides, message):
     with pytest.raises(ValidationError, match=message):
@@ -981,13 +1074,37 @@ class TestLogDensityGradient:
         # 128 times per trajectory: the sample count falls below, on and
         # above multiples of the 2^16-sample blocks. The samples are read in
         # memory order; the C-order ravel differs only in the order in
-        # which block sums and grid weights are added
+        # which block sums and grid weights are added. That rounding is
+        # relative to the terms of the gradient's sum, not to the sum, so
+        # where the gradient nears zero (x = 0) it is bounded by max |g|
         view = time_major(np.random.default_rng(rows).standard_normal((rows, 128)))
         points = np.linspace(-2.0, 2.0, 17)
         for bandwidth in (None, 0.1):
             got = log_density_gradient(view, points, bandwidth)
             assert got.tobytes() == log_density_gradient(view.ravel(order="K"), points, bandwidth).tobytes()
-            np.testing.assert_allclose(got, log_density_gradient(view.ravel(), points, bandwidth), rtol=1e-13)
+            c_order = log_density_gradient(view.ravel(), points, bandwidth)
+            np.testing.assert_allclose(got, c_order, rtol=1e-13, atol=1e-13 * np.max(np.abs(got)))
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # child interpreters, since BLAS reads its thread count at start-up;
+        # each point sums over the 20480 grid nodes within 40h of it, long
+        # enough for a threaded BLAS dot to split the sum
+        script = (
+            "import sys, numpy as np\n"
+            "from bildsim.brownian import log_density_gradient\n"
+            "s = np.random.default_rng(31).standard_normal(10**5)\n"
+            "sys.stdout.write(log_density_gradient(s, np.linspace(-2.0, 2.0, 17)).tobytes().hex())\n"
+        )
+        src = os.path.dirname(os.path.dirname(brownian.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120, check=True
+            )
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 def time_major(a):

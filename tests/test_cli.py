@@ -694,11 +694,16 @@ EXTREMES = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e-300, 5e
 @pytest.mark.parametrize("command", sorted(FUZZ_SEEDS))
 def test_extreme_number_at_every_leaf_exits_cleanly(command, value):
     # JUNK draws only small numbers; these reach the overflow, rounding and
-    # float64 edges of every numeric field, one field at a time
+    # float64 edges of every numeric field, one field at a time. A run that
+    # succeeds writes strict JSON, and one that fails leaves no output behind.
     config = {"command": command, "params": FUZZ_SEEDS[command], "seed": 7}
+
+    def reject(constant):
+        raise ValueError(f"{constant} in a JSON output")
+
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "config.json")
-        for path, key in locations(config):
+        for i, (path, key) in enumerate(locations(config)):
             mutated = copy.deepcopy(config)
             container = mutated
             for step in path:
@@ -708,7 +713,14 @@ def test_extreme_number_at_every_leaf_exits_cleanly(command, value):
             container[key] = value
             with open(config_path, "w") as fh:
                 json.dump(mutated, fh)
-            rc, lines = run_main(["--config", config_path, "--out", os.path.join(tmp, "o")])
+            out = os.path.join(tmp, f"o{i}")
+            rc, lines = run_main(["--config", config_path, "--out", out])
             assert rc in (0, 2, 3), (path, key)
             if rc:
                 assert_one_error_line(rc, lines, rc)
+                assert not os.path.exists(out), (path, key, os.listdir(out))
+                continue
+            for name in os.listdir(out):
+                if name.endswith(".json"):
+                    with open(os.path.join(out, name)) as fh:
+                        json.load(fh, parse_constant=reject)

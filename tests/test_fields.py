@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bildsim import fields, linalg
+from bildsim import brownian, chsh, fields, linalg
 from bildsim.errors import (
     DegenerateMeasureError,
     DimensionMismatchError,
@@ -11,8 +11,8 @@ from bildsim.errors import (
 )
 
 
-# samples per chunk of a Monte Carlo estimate
-CHUNK = fields._CHUNK
+# samples per block of the sampler and of a Monte Carlo estimate
+BLOCK = fields._BLOCK
 
 
 def random_hermitian(rng, d):
@@ -61,18 +61,35 @@ class TestSampleFields:
         with pytest.raises(ValidationError):
             fields.FieldMeasure(np.diag([1.0, -0.5]))
 
-    @pytest.mark.parametrize("n", [17, CHUNK, CHUNK + 17, 2 * CHUNK + 17])
+    @pytest.mark.parametrize("n", [17, 4 * BLOCK, 4 * BLOCK + 17, 8 * BLOCK + 17])
     def test_chunks_on_one_generator_join_to_one_call(self, n):
+        # the calls of a Monte Carlo estimate, one block each
         measure = fields.FieldMeasure(random_psd(np.random.default_rng(1), 3))
         rng = np.random.Generator(np.random.Philox(np.uint64(19)))
-        chunks = [fields.sample_fields(measure, min(CHUNK, n - start), rng) for start in range(0, n, CHUNK)]
+        chunks = [fields.sample_fields(measure, min(BLOCK, n - start), rng) for start in range(0, n, BLOCK)]
         assert np.concatenate(chunks).tobytes() == fields.sample_fields(measure, n, 19).tobytes()
 
-    @pytest.mark.parametrize("seed", [1.0, "7", None, True, -1, 2**64, np.random.default_rng(0).bit_generator])
+    @pytest.mark.parametrize(
+        "seed", [1.0, "7", None, True, -1, 2**64, np.random.default_rng(0).bit_generator, 1.5]
+    )
     def test_seed_neither_int_nor_generator_rejected(self, seed):
+        # the field sampler, both hidden-variable strategies and the
+        # integrators key their generators through one check
         measure = fields.FieldMeasure(np.eye(2))
-        with pytest.raises(ValidationError, match="seed"):
-            fields.sample_fields(measure, 10, seed)
+        config = brownian.LangevinConfig(
+            n_particles=1, mass=1.0, friction=1.0, temperatures=(1.0,), potential=brownian.Potential.free(),
+            dt=1e-3, t_end=1e-2, n_trajectories=2, seed=seed, x_init=0.0,
+        )
+        samplers = [
+            lambda: fields.sample_fields(measure, 10, seed),
+            lambda: chsh.hv_sample(chsh.HvStrategy(), 10, seed),
+            lambda: chsh.hv_sample(chsh.HvStrategy(kind="constant"), 10, seed),
+            lambda: brownian.integrate_overdamped(config),
+            lambda: brownian.integrate_underdamped(config),
+        ]
+        for sample in samplers:
+            with pytest.raises(ValidationError, match="seed"):
+                sample()
 
 
 # (dimension, rank of the covariance): full rank, and two rank-deficient cases
@@ -91,7 +108,7 @@ def reference_values(samples, variable):
 
 
 # two full blocks and a partial one
-BLOCKS_N = 2 * fields._BLOCK + 17
+BLOCKS_N = 2 * BLOCK + 17
 
 
 class TestReferenceFormulas:
@@ -125,7 +142,7 @@ class TestReferenceFormulas:
             assert abs(est.mean - vals.mean()) <= 1e-13 * np.mean(np.abs(vals))
             assert est.std_error == pytest.approx(vals.std(ddof=1) / np.sqrt(n), rel=1e-13)
 
-    @pytest.mark.parametrize("n", [BLOCKS_N, 2 * CHUNK + 17])
+    @pytest.mark.parametrize("n", [BLOCKS_N, 8 * BLOCK + 17])
     def test_monte_carlo_equals_values_of_one_call(self, n):
         rng, measure = reference_measure(3, 3, 50)
         v = fields.QuadraticVariable(random_hermitian(rng, 3))
@@ -135,13 +152,14 @@ class TestReferenceFormulas:
             (fields.mc_average(v, measure, n, 51), [v]),
             (fields.mc_pair_correlation(v, w, measure, n, 51), [v, w]),
         ):
-            vals = fields._form_values(variables, samples, np.empty(n))
+            forms = [fields._real_form(u.kernel.T).reshape(6, 6) for u in variables]
+            vals = fields._form_values(forms, samples, np.empty(n), np.empty((n, 6)))
             assert est.mean == vals.mean()
             assert est.std_error == vals.std(ddof=1) / np.sqrt(n)
 
     def test_monte_carlo_draws_add_up_to_n_samples(self, monkeypatch):
         # the calls of one estimate count n samples and 16 d n bytes in all
-        d, n = 3, 2 * CHUNK + 17
+        d, n = 3, 2 * BLOCK + 17
         rng, measure = reference_measure(d, d, 60)
         v = fields.QuadraticVariable(random_hermitian(rng, d))
         calls = []
@@ -167,7 +185,7 @@ class TestReferenceFormulas:
         rng, measure = reference_measure(d, d, 40 + d)
         v = fields.QuadraticVariable(random_hermitian(rng, d))
         w = fields.QuadraticVariable(random_hermitian(rng, d))
-        n = 4 * CHUNK + 17
+        n = 16 * BLOCK + 17
         estimates = {}
 
         def record(nbytes, what):
@@ -180,8 +198,8 @@ class TestReferenceFormulas:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the values and one chunk of phi are held together, never all of phi
-        assert 8 * n + 16 * d * CHUNK < peak <= estimates["the Monte Carlo estimate"] < 16 * d * n
+        # the values and one block of phi are held together, never all of phi
+        assert 8 * n + 16 * d * BLOCK < peak <= estimates["the Monte Carlo estimate"] < 16 * d * n
 
 
 def point_measure(phi):

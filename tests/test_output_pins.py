@@ -9,10 +9,10 @@ from the one run of the battery that the session shares with
 ``test_acceptance.py``.
 
 The numbers of the pcsft files pass through BLAS products (``z @ E``,
-``x @ S``), and so does the osmotic oracle (``w @ d``); the last bits of
-a product can depend on the CPU's BLAS kernel. Those files and the
-acceptance details are pinned as text: the text between the numbers must
-match exactly, and the numbers to 1e-13 relative. Every other file is pinned
+``x @ S``); the last bits of a product can depend on the CPU's BLAS kernel.
+The osmotic oracle's were pinned when it too summed by a BLAS dot. Those
+files and the acceptance details are pinned as text: the text between the
+numbers must match exactly, and the numbers to 1e-13 relative. Every other file is pinned
 by its sha256. Generator streams are not promised to stay the same across
 numpy versions (NEP 19), so the pin file records the numpy and BLAS that
 made it.
