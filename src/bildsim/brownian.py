@@ -19,14 +19,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NumericalError, RegimeError, ValidationError, check_memory, philox
+from .errors import NumericalError, RegimeError, ValidationError, check_memory, check_work, philox
 
 DEFAULT_MIN_BIN_COUNT = 200
-
-# most particle-steps (steps x trajectories x particles) one integration may
-# take: hours at the ~2e7 per second of one core, while the largest test or
-# acceptance criterion needs about 1e8
-_MAX_PARTICLE_STEPS = 10**12
 
 # trajectories per block of coarse_velocities: its working set, 40 bytes per
 # trajectory and lattice time of a block, stays well below the ensemble it reads
@@ -360,7 +355,8 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     Draw order, which fixes the output bit for bit for a (config, seed):
     initial positions, initial momenta (underdamped only), then one
     standard-normal array of shape x.shape per step. The state that carries
-    the noise (p, or x when overdamped) is checked every 200 steps. Storage
+    the noise (p, or x when overdamped) is checked every 200 steps, and
+    every stored state, momenta included, once the run ends. Storage
     larger than the machine's physical memory, a step count t_end / dt too
     large to be a number, more than 10^12 particle-steps, or a seed that is
     not an integer in [0, 2^64) is a ValidationError, raised before anything
@@ -378,11 +374,9 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     # xs, ps (underdamped) and times
     per_time = (1 + underdamped) * config.n_trajectories * config.n_particles + 1
     check_memory(8 * n_stored * per_time, "the stored ensemble")
-    if n_steps * config.n_trajectories * config.n_particles > _MAX_PARTICLE_STEPS:
-        raise ValidationError(
-            f"{n_steps} steps x {config.n_trajectories} trajectories x {config.n_particles} "
-            f"particles exceed the work ceiling of {_MAX_PARTICLE_STEPS:.0e} particle-steps"
-        )
+    # hours at ~2e7 particle-steps a second; the largest test or criterion takes 1e8
+    work = n_steps * config.n_trajectories * config.n_particles
+    check_work(work, f"{n_steps} steps x {config.n_trajectories} trajectories x {config.n_particles} particles")
     rng = philox(config.seed)
     # equilibrium variances: T/k in the harmonic well (LangevinConfig requires
     # it for a stationary position start), m T for the momenta
@@ -409,6 +403,8 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
         if step % 200 == 0:
             _check_finite(p if underdamped else x, step, config.dt)
     _check_finite(xs, n_steps, config.dt)
+    if underdamped:
+        _check_finite(ps, n_steps, config.dt)
     p_view = ps.transpose(1, 0, 2) if underdamped else None
     return TrajectoryEnsemble(times=times, x=xs.transpose(1, 0, 2), p=p_view, config=config)
 
@@ -866,11 +862,14 @@ def log_density_gradient(
         frac = t - j
         counts += np.bincount(j, 1.0 - frac, n_nodes)
         counts[1:] += np.bincount(j, frac, n_nodes - 1)
-    first = np.clip(np.ceil((pts - reach - lo) / delta), 0, n_nodes).astype(np.intp)
-    stop = np.clip(np.floor((pts + reach - lo) / delta) + 1, 0, n_nodes).astype(np.intp)
+    # a point beyond 40h + 2 delta of the grid [lo, lo + span] is moved there: its window
+    # stays empty (or, if 40h is below lo's rounding, sample-free) and cannot overflow
+    near = np.clip(pts, lo - reach - 2 * delta, lo + span + reach + 2 * delta)
+    first = np.clip(np.ceil((near - reach - lo) / delta), 0, n_nodes).astype(np.intp)
+    stop = np.clip(np.floor((near + reach - lo) / delta) + 1, 0, n_nodes).astype(np.intp)
     num = np.empty(pts.size)
     den = np.empty(pts.size)
-    for i, x in enumerate(pts):
+    for i, x in enumerate(near):
         d = lo + np.arange(first[i], stop[i]) * delta - x
         w = counts[first[i] : stop[i]] * np.exp(-0.5 * (d / h) ** 2)
         # a BLAS dot would split its sum by thread count; add.reduce does not

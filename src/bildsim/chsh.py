@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, ValidationError, check_memory, philox
+from .errors import DimensionMismatchError, ValidationError, check_memory, check_work, philox
 
 PAIR_NAMES = ("A1B1", "A1B2", "A2B1", "A2B2", "A1A2", "B1B2")
+# the bit of an outcome code that holds each response
 _COLUMNS = {"A1": 0, "A2": 1, "B1": 2, "B2": 3}
 
 # records per block of the hidden-variable draw, and the bytes that the memory
-# estimate allows beside the outcomes and one block: the generator, the
-# directions and the array headers (under 4 KiB, tracemalloc)
+# estimate allows beside one block's arrays (under 4 KiB, tracemalloc)
 _BLOCK = 2**14
 _SMALL_BYTES = 2**16
 
@@ -176,59 +176,64 @@ class HvStrategy:
 
 @dataclass(frozen=True)
 class OutcomeStream:
-    """n joint records (A1, A2, B1, B2) in {-1, +1}^4 from one strategy."""
+    """The joint histogram of records (A1, A2, B1, B2) in {-1, +1}^4 from one
+    strategy: counts[c] records answer +1 exactly in the columns whose bits
+    (_COLUMNS: A1 is bit 0, B2 bit 3) are set in c, and -1 in the others."""
 
-    outcomes: np.ndarray  # (n, 4) int8
+    n: int
+    counts: np.ndarray  # (16,) int64
     seed: int
     strategy: dict
 
 
 def hv_sample(strategy: HvStrategy, n: int, seed: int) -> OutcomeStream:
-    """Evaluate all four responses on n independent lambda draws.
+    """Evaluate all four responses on n independent lambda draws and tally them.
 
     lambda is drawn _BLOCK records at a time from one Philox stream, which
-    continues across blocks, so the outcomes do not depend on the block size.
+    continues across blocks, so the counts do not depend on the block size.
+    A record's four sign bytes, read as a little-endian uint32 and multiplied
+    by 0x01020408, hold its code sum_j [sign_j > 0] 2^j in the top byte.
     """
     if n < 1:
         raise ValidationError("need at least one record")
-    # every strategy's seed is checked, though the constant one draws nothing
+    # every strategy's seed and count are checked, though the constant one draws nothing
     rng = philox(seed)
-    # the four int8 outcomes per record; sphere_sign also reuses one block of
-    # lambda (3 float64) and its four projections (4 float64)
-    block_bytes = 0 if strategy.kind == "constant" else 56 * _BLOCK + _SMALL_BYTES
-    check_memory(4 * n + block_bytes, "the outcome stream")
+    check_work(3 * n, f"the 3 normals of each of {n} hidden-variable records")
+    counts = np.zeros(16, dtype=np.int64)
     if strategy.kind == "constant":
-        out = np.tile(np.array(strategy.constants, dtype=np.int8), (n, 1))
-        return OutcomeStream(outcomes=out, seed=seed, strategy=strategy.describe())
+        counts[sum(1 << j for j, c in enumerate(strategy.constants) if c == 1)] = n
+        return OutcomeStream(n=n, counts=counts, seed=seed, strategy=strategy.describe())
+    # a block's lambda and projections (7 float64), signs, codes and their intp copy
+    check_memory(72 * _BLOCK + _SMALL_BYTES, "the outcome stream")
     # sign(lambda . n) does not depend on |lambda|, so lambda is not normalised
     directions = np.array([[np.sin(t), 0.0, np.cos(t)] for t in strategy.angles.as_tuple()]).T
-    out = np.empty((n, 4), dtype=np.int8)
-    lam = np.empty((min(n, _BLOCK), 3))
-    projections = np.empty((min(n, _BLOCK), 4))
+    m = min(n, _BLOCK)
+    lam, projections = np.empty((m, 3)), np.empty((m, 4))
+    signs = np.empty((m, 4), dtype=np.bool_)
+    codes = np.empty((m, 1), dtype="<u4")
     for start in range(0, n, _BLOCK):
-        rows = out[start : start + _BLOCK]
-        block = lam[: len(rows)]
-        rng.standard_normal(out=block)
-        proj = np.matmul(block, directions, out=projections[: len(rows)])
-        # 1 where lambda . n >= 0 and 0 elsewhere, written as bool bytes, then 2 s - 1
-        np.greater_equal(proj, 0.0, out=rows.view(np.bool_))
-        rows *= 2
-        rows -= 1
-    return OutcomeStream(outcomes=out, seed=seed, strategy=strategy.describe())
+        k = min(n - start, _BLOCK)
+        rng.standard_normal(out=lam[:k])
+        np.matmul(lam[:k], directions, out=projections[:k])
+        np.greater_equal(projections[:k], 0.0, out=signs[:k])
+        np.multiply(signs[:k].view("<u4"), 0x01020408, out=codes[:k])
+        np.right_shift(codes[:k], 24, out=codes[:k])
+        counts += np.bincount(codes[:k, 0], minlength=16)
+    return OutcomeStream(n=n, counts=counts, seed=seed, strategy=strategy.describe())
 
 
 def empirical_correlation(stream: OutcomeStream, pair: str) -> float:
     """Mean product of one outcome pair; all six pairs share the stream.
 
     Each product is +1 where the outcomes agree and -1 where they differ, so
-    the mean is (2 agreements - n) / n, from an exact integer count.
+    the mean is (2 agreements - n) / n, from an exact integer count: the
+    records of the cells whose codes agree in the pair's two bits.
     """
     if pair not in PAIR_NAMES:
         raise ValidationError(f"unknown pair {pair!r}; expected one of {PAIR_NAMES}")
-    o = stream.outcomes
-    n = o.shape[0]
-    agree = int(np.count_nonzero(o[:, _COLUMNS[pair[:2]]] == o[:, _COLUMNS[pair[2:]]]))
-    return (2 * agree - n) / n
+    i, j = _COLUMNS[pair[:2]], _COLUMNS[pair[2:]]
+    agree = sum(int(count) for c, count in enumerate(stream.counts) if (c >> i & 1) == (c >> j & 1))
+    return (2 * agree - stream.n) / stream.n
 
 
 def chsh_from_stream(stream: OutcomeStream) -> float:

@@ -293,6 +293,9 @@ def _run_brownian(params: dict, seed: int, out: str, paper_units: bool, underdam
 def _run_velocity_field(params: dict, seed: int, out: str, paper_units: bool) -> list[str]:
     if not params["bin_min"] < params["bin_max"]:
         raise ValidationError("params.bin_min must be below params.bin_max")
+    # a bin centre is the mean of two edges, whose sum must not overflow
+    if max(-params["bin_min"], params["bin_max"]) > sys.float_info.max / 2:
+        raise ValidationError("params.bin_min and params.bin_max must lie within half the largest float")
     # about 1 KiB per bin at the peak (measured), most of it the rows of the two CSV files
     check_memory(1024 * params["n_bins"], "the binned output")
     langevin = dict(params["langevin"], seed=seed, paper_units=paper_units)

@@ -1,6 +1,6 @@
-"""Exception hierarchy shared by all bildsim modules, and the two checks that
-turn a bad request into one of them: the memory check, and the seed check
-of the generator that every sampler draws from."""
+"""Exception hierarchy shared by all bildsim modules, and the checks that
+turn a bad request into one of them: the memory check, the work ceiling, and
+the seed check of the generator that every sampler draws from."""
 
 import os
 
@@ -40,6 +40,13 @@ def check_memory(nbytes: int, what: str) -> None:
             f"{what} needs {nbytes / 2**30:.3g} GiB, more than "
             f"the {physical_bytes / 2**30:.3g} GiB of physical memory"
         )
+
+
+def check_work(count: int, what: str) -> None:
+    """Raise ValidationError when ``what`` takes more than 10^12 normal draws or
+    particle-steps, a run that fits in memory but would not finish."""
+    if count > 10**12:
+        raise ValidationError(f"{what} exceed the work ceiling of 1e+12")
 
 
 def philox(seed: int) -> np.random.Generator:

@@ -19,12 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatchError, ValidationError, check_memory, philox
+from .errors import DimensionMismatchError, ValidationError, check_memory, check_work, philox
 
 # samples per block of the sampler and of a Monte Carlo estimate, which holds
-# the fields of one block at a time; and the bytes that a memory estimate
-# allows beside the arrays of n samples and of one block: the generator, the
-# 2d x 2d matrices and the array headers (under 6 KiB at d = 5, tracemalloc)
+# one block at a time; and the bytes that a memory estimate allows beside its
+# arrays: the generator, the 2d x 2d matrices and the array headers (under
+# 6 KiB at d = 5, tracemalloc)
 _BLOCK = 2**14
 _SMALL_BYTES = 2**16
 
@@ -116,7 +116,7 @@ def _real_form(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def sample_fields(measure: FieldMeasure, n: int, seed) -> np.ndarray:
+def sample_fields(measure: FieldMeasure, n: int, seed, out=None) -> np.ndarray:
     """Draw n field samples, returned as an (n, d) complex array.
 
     phi = L z with B = L L* and z i.i.d. standard circular complex Gaussian
@@ -129,18 +129,20 @@ def sample_fields(measure: FieldMeasure, n: int, seed) -> np.ndarray:
     rows of phi by one real product with the measure's embedding. The stream
     continues across blocks, so phi does not depend on the block size, and
     calls of whole blocks on one generator, joined, equal one call for all
-    their samples bit for bit.
+    their samples bit for bit. ``out`` may give the buffers (phi, normals):
+    phi (n, d) complex, which is returned, and min(n, _BLOCK) x 2d floats.
     """
     if n < 1:
         raise ValidationError("need at least one sample")
     rng = seed if isinstance(seed, np.random.Generator) else philox(seed)
     d = measure.dim
-    # phi, 16 bytes per sample and component, and one block of normals
-    check_memory(16 * d * (n + _BLOCK) + _SMALL_BYTES, "the field samples")
+    if out is None:
+        # phi, 16 bytes per sample and component, and one block of normals
+        check_memory(16 * d * (n + _BLOCK) + _SMALL_BYTES, "the field samples")
+        out = np.empty((n, d), dtype=np.complex128), np.empty((min(n, _BLOCK), 2 * d))
+    phi, z = out
     embedding = measure.embedding
-    phi = np.empty((n, d), dtype=np.complex128)
     x = phi.view(np.float64)
-    z = np.empty((min(n, _BLOCK), 2 * d))
     for start in range(0, n, _BLOCK):
         rows = x[start : start + _BLOCK]
         block = z[: len(rows)]
@@ -178,31 +180,40 @@ def _form_values(forms, samples: np.ndarray, out: np.ndarray, products: np.ndarr
 def _monte_carlo(variables, measure: FieldMeasure, n: int, seed: int) -> MonteCarloEstimate:
     """Mean and standard error of the product of ``variables`` over n samples.
 
-    The samples are drawn and evaluated _BLOCK at a time on one generator:
-    each block of phi continues the stream of the last and is freed once its
-    values are in place, so the values are those of one call for all n.
+    The samples are drawn and evaluated _BLOCK at a time on one generator,
+    into buffers of one block. Each block's sum and centred sum of squares
+    are merged into the totals by the update of Chan, Golub and LeVeque
+    (1979): bit for bit numpy's mean and std(ddof=1) for n <= _BLOCK, equal
+    to rounding above.
     """
     if n < 2:
         raise ValidationError("Monte Carlo estimate needs n >= 2")
     rng = philox(seed)
     d = measure.dim
-    # the values, 8 bytes per sample, and for one block phi, its normals and
-    # x S, 16 bytes per sample and component each
-    check_memory(8 * n + 48 * d * _BLOCK + _SMALL_BYTES, "the Monte Carlo estimate")
+    check_work(2 * d * n, f"the {2 * d} normals of each of {n} samples")
+    # for one block, the values and a second form's (8 bytes per sample each),
+    # and phi and its normals, which x S reuses (16 bytes per sample and component each)
+    check_memory(16 * _BLOCK + 32 * d * _BLOCK + _SMALL_BYTES, "the Monte Carlo estimate")
     forms = [_real_form(v.kernel.T).reshape(2 * d, 2 * d) for v in variables]
-    products = np.empty((min(n, _BLOCK), 2 * d))
-    vals = np.empty(n)
+    m = min(n, _BLOCK)
+    vals, phi, scratch = np.empty(m), np.empty((m, d), dtype=np.complex128), np.empty((m, 2 * d))
     for start in range(0, n, _BLOCK):
-        block = vals[start : start + _BLOCK]
-        _form_values(forms, sample_fields(measure, len(block), rng), block, products[: len(block)])
-    # numpy's mean and std(ddof=1), step for step, with the squared
-    # deviations written over the values instead of into a temporary
-    mean = vals.sum() / n
-    vals -= mean
-    np.multiply(vals, vals, out=vals)
+        k = min(n - start, _BLOCK)
+        block = vals[:k]
+        _form_values(forms, sample_fields(measure, k, rng, out=(phi[:k], scratch[:k])), block, scratch[:k])
+        block_sum = np.add.reduce(block)
+        # the squared deviations from the block's mean, in place
+        block -= block_sum / k
+        np.multiply(block, block, out=block)
+        if start:
+            delta = total / start - block_sum / k
+            squares += np.add.reduce(block) + delta * delta * (start * k / (start + k))
+            total += block_sum
+        else:
+            total, squares = block_sum, np.add.reduce(block)
     return MonteCarloEstimate(
-        mean=float(mean),
-        std_error=float(np.sqrt(vals.sum() / (n - 1)) / np.sqrt(n)),
+        mean=float(total / n),
+        std_error=float(np.sqrt(squares / (n - 1)) / np.sqrt(n)),
         n_samples=n,
         seed=seed,
     )

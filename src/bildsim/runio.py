@@ -21,6 +21,8 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 
 TRAJECTORY_SCHEMA_VERSION = 1
+# longest header line a trajectory file may have; the writer's take a few hundred bytes
+_MAX_HEADER_BYTES = 2**16
 # save_trajectories copies at most about this many bytes of an array at once
 _WRITE_CHUNK_BYTES = 2**20
 
@@ -127,7 +129,9 @@ def save_trajectories(path: str, ensemble) -> None:
 def load_trajectories(path: str) -> dict:
     """Read the columnar trajectory format back into named arrays."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header_line = fh.readline(_MAX_HEADER_BYTES + 1)
+        if len(header_line) > _MAX_HEADER_BYTES:
+            raise ValidationError(f"bad trajectory header: no line end within {_MAX_HEADER_BYTES} bytes")
         try:
             header = json.loads(header_line)
         except (ValueError, RecursionError) as exc:

@@ -215,20 +215,30 @@ class TestCompatibilityAudit:
             assert max(chsh.compatibility_audit(angles)["cross"].values()) <= 1e-12
 
 
+def marginal_means(stream):
+    """The mean outcome of each column A1, A2, B1, B2 from the stream's counts."""
+    plus = [sum(int(c) for code, c in enumerate(stream.counts) if code >> j & 1) for j in range(4)]
+    return np.array([(2 * p - stream.n) / stream.n for p in plus])
+
+
 class TestHvSample:
     def test_constant_strategy(self):
         stream = chsh.hv_sample(chsh.HvStrategy(kind="constant"), 100, 1)
-        np.testing.assert_array_equal(stream.outcomes, np.ones((100, 4)))
+        # every record +1 in all four columns: code 0b1111
+        np.testing.assert_array_equal(stream.counts, [0] * 15 + [100])
+        stream = chsh.hv_sample(chsh.HvStrategy(kind="constant", constants=(1, -1, -1, 1)), 100, 1)
+        np.testing.assert_array_equal(marginal_means(stream), [1, -1, -1, 1])
 
     def test_outcomes_are_signs(self):
+        # each record falls in exactly one of the 16 sign patterns
         stream = chsh.hv_sample(chsh.HvStrategy(), 10**4, 2)
-        assert set(np.unique(stream.outcomes)) <= {-1, 1}
+        assert stream.counts.shape == (16,) and stream.counts.dtype == np.int64
+        assert np.all(stream.counts >= 0) and stream.n == 10**4
 
     def test_marginals_near_zero(self):
         n = 10**5
         stream = chsh.hv_sample(chsh.HvStrategy(), n, 3)
-        means = stream.outcomes.astype(float).mean(axis=0)
-        assert np.max(np.abs(means)) < 5.0 / np.sqrt(n)
+        assert np.max(np.abs(marginal_means(stream))) < 5.0 / np.sqrt(n)
 
     def test_aligned_settings_correlate_fully(self):
         n = 10**4
@@ -239,29 +249,31 @@ class TestHvSample:
     def test_reproducible(self):
         a = chsh.hv_sample(chsh.HvStrategy(), 5000, 5)
         b = chsh.hv_sample(chsh.HvStrategy(), 5000, 5)
-        np.testing.assert_array_equal(a.outcomes, b.outcomes)
+        np.testing.assert_array_equal(a.counts, b.counts)
 
     @pytest.mark.parametrize("n", [1000, chsh._BLOCK, 3 * chsh._BLOCK + 17])
     def test_blocks_match_one_shot_draw(self, n):
         angles = chsh.ChshAngles(0.3, -1.2, 2.0, np.pi / 2)
         lam = np.random.Generator(np.random.Philox(np.uint64(12))).standard_normal((n, 3))
         directions = np.array([[np.sin(t), 0.0, np.cos(t)] for t in angles.as_tuple()]).T
-        expected = np.where(lam @ directions >= 0.0, np.int8(1), np.int8(-1))
-        got = chsh.hv_sample(chsh.HvStrategy(angles=angles), n, 12).outcomes
-        assert got.dtype == np.int8 and got.shape == (n, 4)
-        assert got.tobytes() == expected.tobytes()
+        codes = ((lam @ directions >= 0.0) * np.array([1, 2, 4, 8])).sum(axis=1)
+        got = chsh.hv_sample(chsh.HvStrategy(angles=angles), n, 12).counts
+        assert got.tobytes() == np.bincount(codes, minlength=16).astype(np.int64).tobytes()
 
     def test_peak_within_memory_estimate(self, monkeypatch):
-        n = 3 * chsh._BLOCK + 17
         estimates = []
         monkeypatch.setattr(chsh, "check_memory", lambda nbytes, what: estimates.append(nbytes))
-        tracemalloc.start()
-        try:
-            chsh.hv_sample(chsh.HvStrategy(), n, 13)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 4 * n < peak <= estimates[0]
+        peaks = []
+        for n in (chsh._BLOCK + 17, 16 * chsh._BLOCK + 17):
+            tracemalloc.start()
+            try:
+                chsh.hv_sample(chsh.HvStrategy(), n, 13)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one block of lambda and its projections, and nothing of n records
+        assert 56 * chsh._BLOCK < peaks[0] <= estimates[0]
+        assert abs(peaks[1] - peaks[0]) <= 4096
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(ValidationError):

@@ -495,22 +495,27 @@ class TestResourceAndBlowUpErrors:
         assert "physical memory" in assert_one_error_line(rc, lines, 2)
 
     @pytest.mark.parametrize(
-        "config",
+        "config,reason",
         [
-            {
-                "command": "pcsft-average",
-                "params": {"covariance": identity_json(2), "kernel": identity_json(2), "n_samples": 10**15},
-            },
-            {"command": "chsh-hv", "params": {"strategy": {"kind": "sphere_sign"}, "n": 10**15}},
-            {"command": "chsh-quantum", "params": {"angles": ANGLES, "sweep_points": 10**15}},
-            langevin_with(n_particles=10**12),
-            {"command": "velocity-field", "params": dict(VELOCITY, n_bins=10**12)},
+            # the Monte Carlo and the hidden-variable stream hold one block at
+            # any n, so it is their draws that a huge count exceeds
+            (
+                {
+                    "command": "pcsft-average",
+                    "params": {"covariance": identity_json(2), "kernel": identity_json(2), "n_samples": 10**15},
+                },
+                "work ceiling",
+            ),
+            ({"command": "chsh-hv", "params": {"strategy": {"kind": "sphere_sign"}, "n": 10**15}}, "work ceiling"),
+            ({"command": "chsh-quantum", "params": {"angles": ANGLES, "sweep_points": 10**15}}, "physical memory"),
+            (langevin_with(n_particles=10**12), "physical memory"),
+            ({"command": "velocity-field", "params": dict(VELOCITY, n_bins=10**12)}, "physical memory"),
         ],
         ids=["samples", "records", "sweep", "particles", "bins"],
     )
-    def test_counts_beyond_physical_memory_exit_2(self, tmp_path, config):
+    def test_counts_beyond_physical_memory_exit_2(self, tmp_path, config, reason):
         rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
-        assert "physical memory" in assert_one_error_line(rc, lines, 2)
+        assert reason in assert_one_error_line(rc, lines, 2)
 
     def test_step_count_overflow_exits_2(self, tmp_path):
         config_path = write_config(tmp_path, langevin_with(dt=1e-300, t_end=1e300))
@@ -528,6 +533,40 @@ class TestResourceAndBlowUpErrors:
         config = {"command": "velocity-field", "params": dict(VELOCITY, bin_min=bin_min, bin_max=2.0)}
         rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
         assert "params.bin_min" in assert_one_error_line(rc, lines, 2)
+
+    def test_overflowing_momenta_exit_3(self, tmp_path):
+        # the momenta overflow after the check at step 0 and before the one at
+        # step 200; every stored state is checked once the run ends
+        params = langevin_params(
+            potential={"kind": "harmonic", "spring_constants": [1e308]},
+            x_init=0.0,
+            dt=0.01,
+            t_end=0.04,
+            n_trajectories=10,
+        )
+        config = {"command": "brownian-ctm", "params": params, "seed": 3}
+        out = tmp_path / "o"
+        rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(out)])
+        assert "blew up" in assert_one_error_line(rc, lines, 3)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_bin_edges_whose_centres_overflow_exit_2(self, tmp_path):
+        config = {"command": "velocity-field", "params": dict(VELOCITY, bin_max=1e308)}
+        out = tmp_path / "o"
+        rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(out)])
+        assert "params.bin_max" in assert_one_error_line(rc, lines, 2)
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_bins_far_from_every_sample_give_nan_silently(self, tmp_path):
+        config = {"command": "velocity-field", "params": dict(VELOCITY, bin_max=1e307), "seed": 1}
+        rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
+        assert (rc, lines) == (0, [])
+        rows = read_csv(tmp_path / "o" / "osmotic_overlay.csv")
+        # the first bin holds every sample, but its centre, 1.25e306, is far from all of them
+        assert [float(r["osmotic_oracle"]) for r in rows] == pytest.approx([np.nan] * 4, nan_ok=True)
+        assert np.isfinite(float(rows[0]["u"]))
 
     def test_blow_up_warnings_go_inside_the_json_line(self, tmp_path):
         # a child interpreter: pytest captures warnings, so only a real
@@ -575,8 +614,9 @@ class TestTrajectoryFile:
             (tmp_path / f"foreign{i}.bin").write_bytes(json.dumps(header).encode() + b"\n" + body)
             with pytest.raises(cli.ValidationError, match=reason):
                 runio.load_trajectories(str(tmp_path / f"foreign{i}.bin"))
-        (tmp_path / "nested.bin").write_bytes(b"[" * 10**5 + b"]" * 10**5 + b"\n" + body)
-        with pytest.raises(cli.ValidationError, match="bad trajectory header"):
+        # nested deeper than json's recursion limit, within the header bound
+        (tmp_path / "nested.bin").write_bytes(b"[" * 10**4 + b"]" * 10**4 + b"\n" + body)
+        with pytest.raises(cli.ValidationError, match="bad trajectory header: maximum recursion"):
             runio.load_trajectories(str(tmp_path / "nested.bin"))
         # headers that differ from a valid one in dtype or block names only, each
         # followed by as many bytes as its blocks take
@@ -594,6 +634,26 @@ class TestTrajectoryFile:
             (tmp_path / f"altered{i}.bin").write_bytes(json.dumps(header).encode() + b"\n" + bytes(size))
             with pytest.raises(cli.ValidationError, match=reason):
                 runio.load_trajectories(str(tmp_path / f"altered{i}.bin"))
+
+    def test_header_line_is_bounded(self, tmp_path):
+        # 8 MiB with no line end: the reader gives up after 64 KiB, not at the end of the file
+        path = tmp_path / "foreign.bin"
+        path.write_bytes(b" " * 2**23)
+        tracemalloc.start()
+        try:
+            with pytest.raises(cli.ValidationError, match="no line end within 65536 bytes"):
+                runio.load_trajectories(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        # a header line of exactly 64 KiB, its line end included, is read
+        config = brownian.LangevinConfig.from_dict(dict(langevin_params(n_trajectories=5), seed=1))
+        runio.save_trajectories(str(path), brownian.integrate_overdamped(config))
+        data = path.read_bytes()
+        end = data.index(b"\n")
+        path.write_bytes(data[:end] + b" " * (2**16 - 1 - end) + data[end:])
+        assert runio.load_trajectories(str(path))["x"].shape == (5, 11, 1)
 
     @staticmethod
     def save_peak(path, x):

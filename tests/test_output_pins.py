@@ -10,12 +10,16 @@ from the one run of the battery that the session shares with
 
 The numbers of the pcsft files pass through BLAS products (``z @ E``,
 ``x @ S``); the last bits of a product can depend on the CPU's BLAS kernel.
-The osmotic oracle's were pinned when it too summed by a BLAS dot. Those
-files and the acceptance details are pinned as text: the text between the
-numbers must match exactly, and the numbers to 1e-13 relative. Every other file is pinned
-by its sha256. Generator streams are not promised to stay the same across
-numpy versions (NEP 19), so the pin file records the numpy and BLAS that
-made it.
+Their Monte Carlo statistics are also merged block by block, so above one
+block of 2^14 samples they match numpy's mean and std of all the values to
+rounding, not bit for bit. The osmotic oracle's were pinned when it too
+summed by a BLAS dot. Those files and the acceptance details are pinned as
+text: the text between the numbers must match exactly, and the numbers to
+1e-13 relative. Every other file is pinned by its sha256. A warning raised
+while a pinned config runs fails its test: a pinned output is one that
+computed without overflow or invalid operations. Generator streams are not
+promised to stay the same across numpy versions (NEP 19), so the pin file
+records the numpy and BLAS that made it.
 
 After a change that is meant to move outputs, rewrite the pin file with
 
@@ -34,6 +38,8 @@ import numpy as np
 import pytest
 
 from bildsim import acceptance, cli, linalg
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 PINS_PATH = pathlib.Path(__file__).with_name("output_pins.json")
 REGENERATE = "PYTHONPATH=src python tests/test_output_pins.py"
