@@ -13,6 +13,7 @@ import io
 import itertools
 import json
 import math
+import mmap
 import os
 import tempfile
 
@@ -127,13 +128,29 @@ def save_trajectories(path: str, ensemble) -> None:
 
 
 def load_trajectories(path: str) -> dict:
-    """Read the columnar trajectory format back into named arrays."""
+    """Map the columnar trajectory format back into named arrays.
+
+    The arrays are read-only views of one read-only memory map of the file.
+    Nothing is read until it is indexed, and the pages read are the page
+    cache's own, not a private copy. Each live load holds one file descriptor,
+    the map's, until its last array is dropped. The writers replace a file by
+    rename, so a load stays valid when its run is repeated into the same
+    path; truncating the file in place under a live load makes reading the
+    lost pages raise SIGBUS, so ``np.array(...)`` detaches a copy where that
+    can happen.
+    """
     with open(path, "rb") as fh:
-        header_line = fh.readline(_MAX_HEADER_BYTES + 1)
-        if len(header_line) > _MAX_HEADER_BYTES:
+        try:
+            mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError as exc:  # an empty file cannot be mapped
+            raise ValidationError(f"bad trajectory header: {exc}") from exc
+    try:
+        # the header line ends at a line end within the bound, or at the end of a file no longer than it
+        start = mm.find(b"\n", 0, _MAX_HEADER_BYTES) + 1 or min(len(mm), _MAX_HEADER_BYTES + 1)
+        if start > _MAX_HEADER_BYTES:
             raise ValidationError(f"bad trajectory header: no line end within {_MAX_HEADER_BYTES} bytes")
         try:
-            header = json.loads(header_line)
+            header = json.loads(mm[:start])
         except (ValueError, RecursionError) as exc:
             raise ValidationError(f"bad trajectory header: {exc}") from exc
         if not isinstance(header, dict) or header.get("schema_version") != TRAJECTORY_SCHEMA_VERSION:
@@ -143,28 +160,34 @@ def load_trajectories(path: str) -> dict:
         blocks = header.get("blocks")
         if not isinstance(blocks, list):
             raise ValidationError("trajectory header has no list of blocks")
-        out = {"header": header}
-        size = os.fstat(fh.fileno()).st_size
+        layout = {}  # name -> (offset, shape)
         for block in blocks:
             if not (
                 isinstance(block, dict)
                 # each of the three arrays at most once; "header" is taken
                 and block.get("name") in ("times", "x", "p")
-                and block["name"] not in out
+                and block["name"] not in layout
                 and isinstance(block.get("shape"), list)
                 and all(type(k) is int and k >= 0 for k in block["shape"])
             ):
                 raise ValidationError(f"foreign trajectory block {block!r:.60}")
             shape = tuple(block["shape"])
             nbytes = 8 * math.prod(shape)
-            if nbytes > size - fh.tell():
+            if nbytes > len(mm) - start:
                 raise ValidationError(f"trajectory block {block['name']!r} is truncated")
-            out[block["name"]] = np.frombuffer(fh.read(nbytes), dtype="<f8").reshape(shape)
-        if "times" not in out or "x" not in out:
+            layout[block["name"]] = (start, shape)
+            start += nbytes
+        if "times" not in layout or "x" not in layout:
             raise ValidationError("trajectory file has no times or no x block")
-        excess = size - fh.tell()
+        excess = len(mm) - start
         if excess:
             raise ValidationError(f"{excess} bytes follow the last trajectory block")
+    except BaseException:
+        mm.close()
+        raise
+    out = {"header": header}
+    for name, (offset, shape) in layout.items():
+        out[name] = np.frombuffer(mm, "<f8", math.prod(shape), offset).reshape(shape)
     return out
 
 

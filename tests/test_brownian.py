@@ -327,6 +327,28 @@ class TestUnderdamped:
             integrate_underdamped(config)
 
 
+class TestCheckFinite:
+    """The end-of-run check on a stored (time, trajectory, particle) array."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_planted_entries_are_counted(self, bad):
+        stored = np.random.default_rng(0).standard_normal((101, 1000, 1))
+        stored[[3, 50, 100], [0, 999, 500], 0] = bad
+        with pytest.raises(NumericalError, match=r"at step 100 \(t=0\.1\): 3 non-finite state entries"):
+            brownian._check_finite(stored, 100, 1e-3)
+
+    def test_clean_array_allocates_nothing(self):
+        # 10 MB; a per-entry mask would take 1.25 MB
+        stored = np.random.default_rng(0).standard_normal((101, 12_400, 1))
+        tracemalloc.start()
+        try:
+            brownian._check_finite(stored, 100, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16, peak
+
+
 class TestOverdamped:
     def test_deterministic_decay(self):
         config = harmonic_config(

@@ -600,6 +600,9 @@ class TestTrajectoryFile:
         (tmp_path / "long.bin").write_bytes(data + bytes(8))
         with pytest.raises(cli.ValidationError, match="8 bytes follow"):
             runio.load_trajectories(str(tmp_path / "long.bin"))
+        (tmp_path / "empty.bin").write_bytes(b"")
+        with pytest.raises(cli.ValidationError, match="bad trajectory header"):
+            runio.load_trajectories(str(tmp_path / "empty.bin"))
         body = data[data.index(b"\n") + 1 :]
         # each header passes the schema and dtype checks and fails the one its reason names
         foreign = [
@@ -683,6 +686,54 @@ class TestTrajectoryFile:
         assert not x.flags.c_contiguous
         peak = self.save_peak(str(tmp_path / "big.bin"), x)
         assert peak < 4 * 2**20, peak
+
+    @staticmethod
+    def save(path, times, x):
+        config = brownian.LangevinConfig.from_dict(dict(langevin_params(), seed=1))
+        runio.save_trajectories(path, brownian.TrajectoryEnsemble(times=times, x=x, p=None, config=config))
+
+    def test_load_maps_the_file(self, tmp_path):
+        # a 40 MB ensemble; reading it into memory would take as much again
+        path = str(tmp_path / "big.bin")
+        x = np.random.default_rng(0).standard_normal((50_000, 101, 1))
+        self.save(path, np.arange(101) * 1e-3, x)
+        tracemalloc.start()
+        try:
+            data = runio.load_trajectories(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert not data["times"].flags.writeable and not data["x"].flags.writeable
+        np.testing.assert_array_equal(data["times"], np.arange(101) * 1e-3)
+        np.testing.assert_array_equal(data["x"], x)
+        # zero-size blocks: the file is its header line alone
+        self.save(path, np.empty(0), np.empty((0, 3, 1)))
+        assert (tmp_path / "big.bin").read_bytes().index(b"\n") == os.path.getsize(path) - 1
+        data = runio.load_trajectories(path)
+        assert data["times"].shape == (0,) and data["x"].shape == (0, 3, 1)
+
+    def test_load_outlives_its_file(self, tmp_path):
+        path = str(tmp_path / "run.bin")
+        times, x = np.arange(11) * 1e-3, np.random.default_rng(0).standard_normal((100, 11, 1))
+        self.save(path, times, x)
+        fd_dir = "/proc/self/fd"
+        fds = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+        data = runio.load_trajectories(path)
+        # a rerun into the same path renames a new file over the old one
+        self.save(path, times, -x)
+        np.testing.assert_array_equal(data["x"], x)
+        np.testing.assert_array_equal(runio.load_trajectories(path)["x"], -x)
+        if fds is None:
+            pytest.skip(f"no {fd_dir} to count descriptors in")
+        assert len(os.listdir(fd_dir)) == fds + 1
+        del data
+        assert len(os.listdir(fd_dir)) == fds
+        # a rejected file's map is closed by the loader, not when its error is dropped
+        (tmp_path / "run.bin").write_bytes((tmp_path / "run.bin").read_bytes()[:-8])
+        with pytest.raises(cli.ValidationError, match="truncated") as error:
+            runio.load_trajectories(path)
+        assert error.traceback and len(os.listdir(fd_dir)) == fds
 
 
 # small valid configs: no mutation with the numbers below can make them run long
