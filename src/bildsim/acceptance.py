@@ -25,9 +25,6 @@ from .brownian import (
     osmotic_velocity,
 )
 
-# trajectories per block of criterion 9's pooled positions
-_BLOCK = 2**14
-
 
 @dataclass
 class CriterionResult:
@@ -220,11 +217,11 @@ def criterion_9(ens) -> CriterionResult:
     edges = np.arange(-2.05, 2.0501, 0.1)
     vp, vm = coarse_velocities(ens, eps, edges)
     u = osmotic_velocity(vp, vm)
-    # the KDE pools the positions at the lattice times, at most 2e6 of them
-    k = int(round(eps / ens.dt_store))
-    n_pooled = ens.x.shape[0] * len(range(0, ens.n_times, k))
-    stride = n_pooled // (2 * 10**6) + 1 if n_pooled > 2 * 10**6 else 1
-    pooled = _pooled_positions(ens.x, k, stride)
+    # the KDE pools the positions at the lattice times, at most 2e6 of them;
+    # the flat slice copies only the positions it picks, in C order of the view
+    lattice = ens.x[:, :: int(round(eps / ens.dt_store)), 0]
+    stride = lattice.size // (2 * 10**6) + 1 if lattice.size > 2 * 10**6 else 1
+    pooled = lattice.flat[::stride]
     oracle = -1.0 * log_density_gradient(pooled, u.bin_centers)
     ok_bins = ~np.isnan(u.values)
     dev = np.abs(u.values[ok_bins] - oracle[ok_bins])
@@ -244,23 +241,6 @@ def criterion_9(ens) -> CriterionResult:
         f"binwise |u + T dlogP| ok: {binwise_ok}; at x=1: "
         f"v+={vp.values[i1]:.3f}, v-={vm.values[i1]:.3f}, u={u.values[i1]:.3f}",
     )
-
-
-def _pooled_positions(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """``x[:, ::k, 0].ravel()[::stride]``, gathered _BLOCK trajectories at a
-    time through one reused buffer, without the full pooled copy."""
-    n_traj, n_lattice = x.shape[0], len(range(0, x.shape[1], k))
-    out = np.empty(len(range(0, n_traj * n_lattice, stride)))
-    buffer = np.empty((min(n_traj, _BLOCK), n_lattice))
-    filled = 0
-    for start in range(0, n_traj, _BLOCK):
-        block = buffer[: n_traj - start]
-        np.copyto(block, x[start : start + _BLOCK, ::k, 0])
-        # the first pooled index at or after this block's first position
-        part = block.ravel()[-start * n_lattice % stride :: stride]
-        out[filled : filled + part.size] = part
-        filled += part.size
-    return out
 
 
 def criterion_10(ens) -> CriterionResult:

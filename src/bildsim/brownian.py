@@ -470,7 +470,7 @@ def _epsilon_steps(ensemble: TrajectoryEnsemble, epsilon: float) -> int:
             f"epsilon={epsilon:.3g} is not a multiple of the stored step "
             f"{dt_store:.3g}"
         )
-    if epsilon < 2.0 * ensemble.config.dt - 1e-12:
+    if epsilon < 2.0 * ensemble.config.dt * (1 - 1e-9):
         raise ValidationError(
             f"epsilon={epsilon:.3g} must be at least twice the integration "
             f"step {ensemble.config.dt:.3g}"
@@ -655,17 +655,16 @@ def momentum_resolution_check(
             "resolution only coarse-grained velocities are defined"
         )
     k = _epsilon_steps(ensemble, epsilon)
-    lattice = slice(0, ensemble.n_times, k)
-    n_lattice = len(range(0, ensemble.n_times, k))
+    x = ensemble.x[:, ::k, 0]
     # at most 33 bytes per trajectory and lattice time: the displacements, the
     # bin mask, and when every momentum is in the bin the two windows picked
     # and np.std's deviations from their mean
-    check_memory(33 * ensemble.x.shape[0] * n_lattice, "the momentum check's working set")
-    disp = np.diff(ensemble.x[:, lattice, 0], axis=1)
+    check_memory(33 * x.size, "the momentum check's working set")
+    disp = np.diff(x, axis=1)
     disp /= epsilon
     # anchors are the inner lattice times: window j + 1 leaves anchor j and
     # window j arrives there
-    p_mid = ensemble.p[:, lattice, 0][:, 1:-1]
+    p_mid = ensemble.p[:, ::k, 0][:, 1:-1]
     in_bin = np.abs(p_mid - p_center) <= 0.05
     nf = int(in_bin.sum())
     if nf < DEFAULT_MIN_BIN_COUNT:
@@ -694,14 +693,6 @@ def _sample_blocks(samples: np.ndarray):
         order="K",
         buffersize=_KDE_BLOCK,
     )
-
-
-def _sample_range(samples: np.ndarray) -> tuple:
-    """Min and max of the samples; nan if any sample is nan."""
-    lo, hi = np.inf, -np.inf
-    for block in _sample_blocks(samples):
-        lo, hi = np.minimum(lo, block.min()), np.maximum(hi, block.max())
-    return lo, hi
 
 
 def _rank_bins(block: np.ndarray, lo: float, scale: float, work: np.ndarray, bins: np.ndarray) -> np.ndarray:
@@ -846,7 +837,7 @@ def log_density_gradient(
     """
     s = _check_samples(samples)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    h, s_min, s_max = _silverman(s) if bandwidth is None else (bandwidth, *_sample_range(s))
+    h, s_min, s_max = _silverman(s) if bandwidth is None else (bandwidth, s.min(), s.max())
     if not h > 0 or np.isnan(s_min):
         return np.full(pts.size, np.nan)
     reach = _KDE_REACH * h
@@ -901,7 +892,7 @@ def fokker_planck_residual(ensemble: TrajectoryEnsemble) -> float:
             f"insufficient samples: {ensemble.x.shape[0]} trajectories, need 1e5"
         )
     x = ensemble.x[:, :, 0]
-    lo, hi = _percentiles(x, [0.5, 99.5], *_sample_range(x))
+    lo, hi = _percentiles(x, [0.5, 99.5], x.min(), x.max())
     n_bins = 81
     edges = np.linspace(lo, hi, n_bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -179,6 +179,11 @@ def load_trajectories(path: str) -> dict:
             start += nbytes
         if "times" not in layout or "x" not in layout:
             raise ValidationError("trajectory file has no times or no x block")
+        shapes = {name: shape for name, (_, shape) in layout.items()}
+        times, x = shapes["times"], shapes["x"]
+        # times (time,), x (trajectory, time, particle), and p as x
+        if not (len(times) == 1 and len(x) == 3 and x[1:2] == times and shapes.get("p", x) == x):
+            raise ValidationError(f"trajectory blocks of shapes {shapes} do not form an ensemble")
         excess = len(mm) - start
         if excess:
             raise ValidationError(f"{excess} bytes follow the last trajectory block")

@@ -6,7 +6,6 @@ pass/fail lines; the same battery backs the CLI ``acceptance`` command.
 
 import weakref
 
-import numpy as np
 import pytest
 
 from bildsim import acceptance
@@ -53,15 +52,3 @@ def test_shared_ensemble_lives_only_through_criteria_9_and_10(monkeypatch, numbe
     assert [r.number for r in results] == sorted(numbers or range(1, 13))
     assert len(built) == builds
     assert all(ref() is None for ref in built)
-
-
-@pytest.mark.parametrize("n_times", [20, 21])
-@pytest.mark.parametrize("n_trajectories", [17, acceptance._BLOCK, 2 * acceptance._BLOCK + 17])
-def test_pooled_positions_match_one_gather(n_trajectories, n_times):
-    # less than one block, exactly one, and two and a part, of a
-    # (trajectory, time, particle) view of time-major memory, as integrated
-    x = np.random.default_rng(9).standard_normal((n_times, n_trajectories, 2)).transpose(1, 0, 2)
-    for k in (1, 2, 3):
-        for stride in (1, 2, 5):
-            got = acceptance._pooled_positions(x, k, stride)
-            assert got.tobytes() == x[:, ::k, 0].ravel()[::stride].tobytes(), (k, stride)

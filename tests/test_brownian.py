@@ -685,6 +685,11 @@ class TestCoarseVelocities:
     def test_epsilon_below_resolution_rejected(self, stationary_ensemble):
         with pytest.raises(ValidationError, match="twice the integration"):
             coarse_velocities(stationary_ensemble, 1e-3, np.linspace(-1, 1, 5))
+        # the slack is relative to dt: a step far below any absolute slack
+        tiny = integrate_overdamped(harmonic_config(dt=1e-13, t_end=1e-11, n_trajectories=50, store_every=1))
+        with pytest.raises(ValidationError, match="twice the integration"):
+            coarse_velocities(tiny, 1e-13, np.linspace(-1, 1, 5), min_count=1)
+        coarse_velocities(tiny, 2e-13, np.linspace(-1, 1, 5), min_count=1)
 
     def test_empty_bins_are_missing(self, stationary_ensemble):
         edges = np.array([40.0, 41.0, 42.0])  # far outside the support
@@ -1236,21 +1241,30 @@ class TestOrderStatistics:
         for s in (rng.standard_normal(n), rng.standard_cauchy(n), np.round(rng.standard_normal(n), 2)):
             want = np.percentile(s, [q])
             for samples in (s, time_major(s.reshape(-1, 1)), one_of_three_particles(s.reshape(-1, 1))):
-                got = brownian._percentiles(samples, [q], *brownian._sample_range(samples))
+                got = brownian._percentiles(samples, [q], samples.min(), samples.max())
                 assert got.tobytes() == want.tobytes(), (q, n, got, want)
 
     def test_residual_percentiles_of_a_time_major_ensemble(self):
         x = time_major(np.random.default_rng(17).standard_normal((5_000, 33)))
-        got = brownian._percentiles(x, [0.5, 99.5], *brownian._sample_range(x))
+        got = brownian._percentiles(x, [0.5, 99.5], x.min(), x.max())
         assert got.tobytes() == np.percentile(x, [0.5, 99.5]).tobytes()
 
     def test_non_finite_samples_fall_back_to_numpy(self):
         s = np.random.default_rng(18).standard_normal(1000)
         s[[3, 500]] = [np.inf, -np.inf]
-        got = brownian._percentiles(s, [0.5, 25, 99.5], *brownian._sample_range(s))
+        got = brownian._percentiles(s, [0.5, 25, 99.5], s.min(), s.max())
         np.testing.assert_array_equal(got, np.percentile(s, [0.5, 25, 99.5]))
         s[7] = np.nan
-        assert np.isnan(brownian._percentiles(s, [25, 75], *brownian._sample_range(s))).all()
+        assert np.isnan(brownian._percentiles(s, [25, 75], s.min(), s.max())).all()
+
+    def test_ranges_too_narrow_to_bin_fall_back_to_numpy(self):
+        # finite lo < hi whose bin scale, _RANK_BINS / (hi/2 - lo/2), overflows
+        rng = np.random.default_rng(19)
+        for lo, hi in ((0.0, 5e-324), (1e-310, 3e-310), (1e-300 - 1e-315, 1e-300 + 1e-315)):
+            s = rng.uniform(lo, hi, size=1001)
+            s[:2] = lo, hi
+            got = brownian._percentiles(s, [0.5, 25, 75, 99.5], s.min(), s.max())
+            assert got.tobytes() == np.percentile(s, [0.5, 25, 75, 99.5]).tobytes(), (lo, hi)
 
 
 class TestNonsmoothness:

@@ -621,8 +621,8 @@ class TestTrajectoryFile:
         (tmp_path / "nested.bin").write_bytes(b"[" * 10**4 + b"]" * 10**4 + b"\n" + body)
         with pytest.raises(cli.ValidationError, match="bad trajectory header: maximum recursion"):
             runio.load_trajectories(str(tmp_path / "nested.bin"))
-        # headers that differ from a valid one in dtype or block names only, each
-        # followed by as many bytes as its blocks take
+        # headers that differ from a valid one in dtype, block names or block
+        # shapes only, each followed by as many bytes as its blocks take
         good = json.loads(data[: data.index(b"\n")])
         times, x = good["blocks"]
         altered = [
@@ -632,6 +632,17 @@ class TestTrajectoryFile:
             ("foreign trajectory block", dict(good, blocks=[times, x, {"name": "x", "shape": [0]}])),
             ("foreign trajectory block", dict(good, blocks=[times, x, {"name": "header", "shape": [0]}])),
         ]
+        # shapes of times, x and p (None: no p block) that do not form one ensemble
+        for shapes in (
+            ([3], [4, 5], [2]),
+            ([1, 3], [4, 3, 1], None),
+            ([3], [4, 3], None),
+            ([3], [4, 5, 1], None),
+            ([3], [4, 3, 1], [4, 3, 2]),
+            ([3], [4, 3, 1], [3, 4, 1]),
+        ):
+            blocks = [{"name": n, "shape": s} for n, s in zip(("times", "x", "p"), shapes) if s is not None]
+            altered.append(("do not form an ensemble", dict(good, blocks=blocks)))
         for i, (reason, header) in enumerate(altered):
             size = sum(8 * int(np.prod(block["shape"])) for block in header["blocks"])
             (tmp_path / f"altered{i}.bin").write_bytes(json.dumps(header).encode() + b"\n" + bytes(size))
@@ -708,10 +719,10 @@ class TestTrajectoryFile:
         np.testing.assert_array_equal(data["times"], np.arange(101) * 1e-3)
         np.testing.assert_array_equal(data["x"], x)
         # zero-size blocks: the file is its header line alone
-        self.save(path, np.empty(0), np.empty((0, 3, 1)))
+        self.save(path, np.empty(0), np.empty((0, 0, 1)))
         assert (tmp_path / "big.bin").read_bytes().index(b"\n") == os.path.getsize(path) - 1
         data = runio.load_trajectories(path)
-        assert data["times"].shape == (0,) and data["x"].shape == (0, 3, 1)
+        assert data["times"].shape == (0,) and data["x"].shape == (0, 0, 1)
 
     def test_load_outlives_its_file(self, tmp_path):
         path = str(tmp_path / "run.bin")
