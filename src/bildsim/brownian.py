@@ -215,7 +215,8 @@ class TrajectoryEnsemble:
 
     @property
     def dt_store(self) -> float:
-        return float(self.times[1] - self.times[0])
+        """The step between stored times; nan for one stored time, which has none."""
+        return float(self.times[1] - self.times[0]) if self.n_times > 1 else math.nan
 
     @property
     def n_times(self) -> int:
@@ -351,6 +352,16 @@ def _check_finite(arr: np.ndarray, step: int, dt: float):
         )
 
 
+def _schedule(config: LangevinConfig) -> tuple[int, int]:
+    """The steps of a run, round(t_end / dt), and the times it stores: every
+    store_every-th step from the first, store_every * dt apart."""
+    steps = config.t_end / config.dt
+    if not math.isfinite(steps):
+        raise ValidationError(f"t_end / dt = {steps} is not a finite step count")
+    n_steps = int(round(steps))
+    return n_steps, n_steps // config.store_every + 1
+
+
 def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> TrajectoryEnsemble:
     """Shared Euler-Maruyama loop; ``advance(x, p, xi)`` returns the next (x, p).
 
@@ -368,11 +379,7 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     returned as (trajectory, time, particle) views of that memory: they index
     like the ensemble's contract says but are not C-contiguous.
     """
-    steps = config.t_end / config.dt
-    if not math.isfinite(steps):
-        raise ValidationError(f"t_end / dt = {steps} is not a finite step count")
-    n_steps = int(round(steps))
-    n_stored = n_steps // config.store_every + 1
+    n_steps, n_stored = _schedule(config)
     # xs, ps (underdamped) and times
     per_time = (1 + underdamped) * config.n_trajectories * config.n_particles + 1
     check_memory(8 * n_stored * per_time, "the stored ensemble")
@@ -457,10 +464,21 @@ class VelocityFieldEstimate:
     epsilon: float
 
 
-def _epsilon_steps(ensemble: TrajectoryEnsemble, epsilon: float) -> int:
-    if ensemble.n_times < 2:
+def epsilon_steps(config: LangevinConfig, epsilon: float) -> int:
+    """The stored steps in the time increment ``epsilon`` of the velocity
+    estimators, for a run of ``config`` that is not yet integrated: the
+    checks of ``_epsilon_steps`` on the times the run will store."""
+    _, n_stored = _schedule(config)
+    return _epsilon_steps(config.store_every * config.dt, n_stored, config.dt, epsilon)
+
+
+def _epsilon_steps(dt_store: float, n_times: int, dt: float, epsilon: float) -> int:
+    """The stored steps in ``epsilon``, for n_times stored times dt_store
+    apart, integrated at step dt. ValidationError unless epsilon is a
+    multiple of dt_store, at least 2 dt and shorter than the run, each to a
+    relative 1e-9."""
+    if n_times < 2:
         raise ValidationError("velocity estimates need at least two stored times")
-    dt_store = ensemble.dt_store
     steps = epsilon / dt_store
     if not np.isfinite(steps):
         raise ValidationError(f"epsilon={epsilon:.3g} is not a finite number of stored steps {dt_store:.3g}")
@@ -470,15 +488,12 @@ def _epsilon_steps(ensemble: TrajectoryEnsemble, epsilon: float) -> int:
             f"epsilon={epsilon:.3g} is not a multiple of the stored step "
             f"{dt_store:.3g}"
         )
-    if epsilon < 2.0 * ensemble.config.dt * (1 - 1e-9):
-        raise ValidationError(
-            f"epsilon={epsilon:.3g} must be at least twice the integration "
-            f"step {ensemble.config.dt:.3g}"
-        )
-    if k >= ensemble.n_times:
+    if epsilon < 2.0 * dt * (1 - 1e-9):
+        raise ValidationError(f"epsilon={epsilon:.3g} must be at least twice the integration step {dt:.3g}")
+    if k >= n_times:
         raise ValidationError(
             f"epsilon={epsilon:.3g} is longer than the run: {k} stored steps "
-            f"where the run has {ensemble.n_times - 1}"
+            f"where the run has {n_times - 1}"
         )
     return k
 
@@ -528,7 +543,7 @@ def coarse_velocities(
     windows in trajectory order, then in time order, across the blocks as
     within one, so no output depends on the block size.
     """
-    k = _epsilon_steps(ensemble, epsilon)
+    k = _epsilon_steps(ensemble.dt_store, ensemble.n_times, ensemble.config.dt, epsilon)
     edges = np.asarray(bin_edges, dtype=float)
     if t_index is None:
         lattice = slice(0, ensemble.n_times, k)
@@ -654,7 +669,7 @@ def momentum_resolution_check(
             f"epsilon={epsilon:.3g} exceeds tau_p/50={tau_p / 50.0:.3g}; at this "
             "resolution only coarse-grained velocities are defined"
         )
-    k = _epsilon_steps(ensemble, epsilon)
+    k = _epsilon_steps(ensemble.dt_store, ensemble.n_times, ensemble.config.dt, epsilon)
     x = ensemble.x[:, ::k, 0]
     # at most 33 bytes per trajectory and lattice time: the displacements, the
     # bin mask, and when every momentum is in the bin the two windows picked
@@ -680,19 +695,31 @@ def momentum_resolution_check(
     )
 
 
-def _sample_blocks(samples: np.ndarray):
-    """The samples as 1-D float64 blocks of at most _KDE_BLOCK, in memory
-    order. An array that one stride walks, such as an ensemble's
-    (trajectory, time) view of one particle, is read in place; a cast, or a
-    layout no single stride walks, is copied a block at a time into the
-    iterator's buffer, so a block is valid only until the next is drawn."""
-    return np.nditer(
-        samples,
-        flags=["external_loop", "buffered", "zerosize_ok"],
-        op_dtypes=[np.float64],
-        order="K",
-        buffersize=_KDE_BLOCK,
-    )
+def _parts(samples) -> tuple:
+    """A sample set as a tuple of arrays: the parts of a tuple, or the one array."""
+    return tuple(map(np.asarray, samples)) if isinstance(samples, tuple) else (np.asarray(samples),)
+
+
+def _sample_blocks(samples):
+    """The samples, an array or a tuple of arrays read as one set, as 1-D
+    float64 blocks of at most _KDE_BLOCK: part after part, and in memory
+    order within a part. A part that one stride walks, such as an
+    ensemble's (trajectory, time) view of one particle, is read in place; a
+    cast, or a layout no single stride walks, is copied a block at a time
+    into the iterator's buffer, so a block is valid only until the next is
+    drawn."""
+    for part in _parts(samples):
+        yield from np.nditer(
+            part,
+            flags=["external_loop", "buffered", "zerosize_ok"],
+            op_dtypes=[np.float64],
+            order="K",
+            buffersize=_KDE_BLOCK,
+        )
+
+
+def _sample_count(samples) -> int:
+    return sum(part.size for part in _parts(samples))
 
 
 def _rank_bins(block: np.ndarray, lo: float, scale: float, work: np.ndarray, bins: np.ndarray) -> np.ndarray:
@@ -708,7 +735,7 @@ def _rank_bins(block: np.ndarray, lo: float, scale: float, work: np.ndarray, bin
     return b
 
 
-def _order_statistics(samples: np.ndarray, ranks: np.ndarray, lo: float, scale: float) -> np.ndarray:
+def _order_statistics(samples, ranks: np.ndarray, lo: float, scale: float) -> np.ndarray:
     """The samples at 0-based ``ranks`` of their ascending order, exactly,
     for finite samples of min ``lo`` and max hi, with ``scale`` =
     _RANK_BINS / (hi/2 - lo/2) finite.
@@ -719,7 +746,7 @@ def _order_statistics(samples: np.ndarray, ranks: np.ndarray, lo: float, scale: 
     smooth density, and at most all of them when most samples share one bin
     (a far outlier), which is the copy np.percentile makes.
     """
-    work = np.empty(min(samples.size, _KDE_BLOCK))
+    work = np.empty(min(_sample_count(samples), _KDE_BLOCK))
     bins = np.empty(work.size, dtype=np.intp)
     counts = np.zeros(_RANK_BINS + 1, dtype=np.intp)
     for block in _sample_blocks(samples):
@@ -736,17 +763,19 @@ def _order_statistics(samples: np.ndarray, ranks: np.ndarray, lo: float, scale: 
     return np.partition(picked, at)[at]
 
 
-def _percentiles(samples: np.ndarray, q: list, lo: float, hi: float) -> np.ndarray:
+def _percentiles(samples, q: list, lo: float, hi: float) -> np.ndarray:
     """``np.percentile(samples, q)`` with numpy's linear method, bit for bit,
     from exact order statistics instead of a partitioned copy of the
-    samples; ``lo`` and ``hi`` are their min and max. Samples that are nan
-    or infinite, or a range too narrow to bin, go to np.percentile itself."""
+    samples, an array or a tuple of arrays read as one set; ``lo`` and
+    ``hi`` are their min and max. Samples that are nan or infinite, or a
+    range too narrow to bin, go to np.percentile itself, the parts of a
+    tuple joined."""
     # bins per unit of v/2, for _rank_bins over [lo, hi]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = _RANK_BINS / (0.5 * hi - 0.5 * lo)
     if not (np.isfinite(lo) and np.isfinite(hi) and (lo == hi or np.isfinite(scale))):
-        return np.percentile(samples, q)
-    n = samples.size
+        return np.percentile(np.concatenate([p.ravel() for p in _parts(samples)]), q)
+    n = _sample_count(samples)
     # numpy's _get_indexes, _get_gamma and _lerp
     virtual = (n - 1) * np.true_divide(q, 100)
     prev = np.floor(virtual)
@@ -766,9 +795,9 @@ def _percentiles(samples: np.ndarray, q: list, lo: float, hi: float) -> np.ndarr
     return result
 
 
-def _silverman(samples: np.ndarray) -> tuple:
+def _silverman(samples) -> tuple:
     """Silverman's bandwidth of the samples, and their min and max."""
-    n = samples.size
+    n = _sample_count(samples)
     total, lo, hi = 0.0, np.inf, -np.inf
     for block in _sample_blocks(samples):
         total += np.add.reduce(block)
@@ -792,35 +821,36 @@ def _silverman(samples: np.ndarray) -> tuple:
     return 0.9 * a * n ** (-0.2), lo, hi
 
 
-def _check_samples(samples) -> np.ndarray:
-    s = np.asarray(samples)
-    if s.size == 0:
+def _check_samples(samples) -> tuple:
+    parts = _parts(samples)
+    if _sample_count(parts) == 0:
         raise ValidationError("the density estimate needs at least one sample")
-    return s
+    return parts
 
 
-def silverman_bandwidth(samples: np.ndarray) -> float:
+def silverman_bandwidth(samples) -> float:
     """Silverman's rule 0.9 min(std, IQR / 1.34) n^(-1/5) in double precision.
 
-    The samples, an array of any shape, are read in place as a set, in
-    memory order and in blocks of at most 2^16 (``_sample_blocks``); neither
-    a ravel nor np.std's deviations nor np.percentile's copy is made. The
-    quartiles are exact order statistics, ``np.percentile(.., [75, 25])``
-    bit for bit. std is np.std's two-pass value up to rounding: each block
-    is summed as np.std sums, and the block sums are added in turn, so up to
-    one block it is np.std of the memory-order ravel bit for bit.
+    The samples, an array of any shape or a tuple of such arrays read as
+    one set, are read in place, part after part, in memory order and in
+    blocks of at most 2^16 (``_sample_blocks``); neither a ravel nor a join
+    nor np.std's deviations nor np.percentile's copy is made. The quartiles
+    are exact order statistics, ``np.percentile(.., [75, 25])`` of all the
+    samples bit for bit. std is np.std's two-pass value up to rounding: each
+    block is summed as np.std sums, and the block sums are added in turn, so
+    up to one block it is np.std of the memory-order ravel bit for bit.
     """
     return _silverman(_check_samples(samples))[0]
 
 
-def log_density_gradient(
-    samples: np.ndarray, points: np.ndarray, bandwidth: float | None = None
-) -> np.ndarray:
+def log_density_gradient(samples, points: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
     """d/dx log of a Gaussian-kernel density estimate, at the given points.
 
-    The samples are an array of any shape, read in place in memory order,
-    in blocks of 2^16: a time-major ensemble's (trajectory, time) view, and
-    one particle's view of a multi-particle ensemble, are never copied. The
+    The samples are an array of any shape, or a tuple of such arrays read
+    as one set, part after part. Each is read in place in memory order, in
+    blocks of 2^16: a time-major ensemble's (trajectory, time) view, one
+    particle's view of a multi-particle ensemble, and strided views that
+    together pick a subset of the stored positions are never copied. The
     bandwidth h defaults to Silverman's rule. The samples are
     binned linearly (Wand 1994) onto a uniform grid of spacing delta = h/256
     that spans [max(min s, min p - 40h), min(max s, max p + 40h)], block by
@@ -837,7 +867,11 @@ def log_density_gradient(
     """
     s = _check_samples(samples)
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    h, s_min, s_max = _silverman(s) if bandwidth is None else (bandwidth, s.min(), s.max())
+    if bandwidth is None:
+        h, s_min, s_max = _silverman(s)
+    else:
+        # np.min and np.max of the parts' extremes pass a nan through
+        h, s_min, s_max = bandwidth, np.min([p.min() for p in s if p.size]), np.max([p.max() for p in s if p.size])
     if not h > 0 or np.isnan(s_min):
         return np.full(pts.size, np.nan)
     reach = _KDE_REACH * h

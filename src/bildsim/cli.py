@@ -300,8 +300,10 @@ def _run_velocity_field(params: dict, seed: int, out: str, paper_units: bool) ->
     check_memory(1024 * params["n_bins"], "the binned output")
     langevin = dict(params["langevin"], seed=seed, paper_units=paper_units)
     config = brownian.LangevinConfig.from_dict(langevin)
-    ens = brownian.integrate_overdamped(config)
     eps = params["epsilon"]
+    # the epsilon rules depend on the config alone, so a bad epsilon costs no integration
+    brownian.epsilon_steps(config, eps)
+    ens = brownian.integrate_overdamped(config)
     edges = np.linspace(params["bin_min"], params["bin_max"], params["n_bins"] + 1)
     vp, vm = brownian.coarse_velocities(ens, eps, edges, min_count=params["min_count"])
     u = brownian.osmotic_velocity(vp, vm)

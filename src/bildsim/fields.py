@@ -269,6 +269,12 @@ def empirical_covariance(samples: np.ndarray) -> np.ndarray:
     s = np.asarray(samples, dtype=complex)
     if s.ndim != 2 or s.shape[0] < 2:
         raise ValidationError("need an (n, d) array with n >= 2")
-    cov = s.T @ s.conj() / s.shape[0]
+    return _covariance_from_sum(s.T @ s.conj(), s.shape[0])
+
+
+def _covariance_from_sum(total: np.ndarray, n: int) -> np.ndarray:
+    """The empirical covariance of n samples from their sum of phi phi*, so
+    that blocks of samples can be summed one at a time."""
+    cov = total / n
     # symmetrize away floating-point asymmetry before validation
     return linalg.check_psd(0.5 * (cov + cov.conj().T))

@@ -175,6 +175,10 @@ def load_trajectories(path: str) -> dict:
             nbytes = 8 * math.prod(shape)
             if nbytes > len(mm) - start:
                 raise ValidationError(f"trajectory block {block['name']!r} is truncated")
+            # a zero-size block holds no bytes whatever its other dimensions;
+            # bounding them by the file as well keeps each one within numpy's reach
+            if 8 * math.prod(k for k in shape if k) > len(mm):
+                raise ValidationError(f"zero-size trajectory block {block['name']!r} has dimensions beyond the file")
             layout[block["name"]] = (start, shape)
             start += nbytes
         if "times" not in layout or "x" not in layout:

@@ -3,7 +3,9 @@ import copy
 import csv
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bildsim import brownian, cli, linalg, runio
@@ -285,6 +287,37 @@ class TestVelocityField:
             tracemalloc.stop()
         ensemble = 8 * 50_000 * 41
         assert ensemble < peak < ensemble + 6 * 2**20, (peak, ensemble)
+
+    # an epsilon beyond the float range either way, a stored step beyond it,
+    # a run too short to store two times, and an epsilon longer than the run
+    @pytest.mark.parametrize(
+        "where,value",
+        [
+            (("epsilon",), 1e308),
+            (("epsilon",), -1e308),
+            (("langevin", "store_every"), 1e308),
+            (("langevin", "t_end"), 1e-300),
+            (("epsilon",), 5.0),
+        ],
+    )
+    def test_epsilon_checked_before_integrating(self, tmp_path, monkeypatch, where, value):
+        entered = []
+        integrate = brownian._euler_maruyama
+        monkeypatch.setattr(brownian, "_euler_maruyama", lambda *a, **k: entered.append(1) or integrate(*a, **k))
+        params = copy.deepcopy(dict(VELOCITY, min_count=5))
+        container = params
+        for key in where[:-1]:
+            container = container[key]
+        container[where[-1]] = value
+        config = {"command": "velocity-field", "params": params, "seed": 7}
+        out = tmp_path / "run"
+        rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(out)])
+        assert re.search("epsilon|two stored times", assert_one_error_line(rc, lines, 2))
+        assert not entered and not out.exists()
+        # the same config with a valid epsilon integrates, through the spy
+        if where == ("epsilon",):
+            cli.run_experiment(dict(config, params=dict(params, epsilon=2e-3)), str(out))
+            assert entered == [1]
 
 
 class TestManifestAndDeterminism:
@@ -745,6 +778,58 @@ class TestTrajectoryFile:
         with pytest.raises(cli.ValidationError, match="truncated") as error:
             runio.load_trajectories(path)
         assert error.traceback and len(os.listdir(fd_dir)) == fds
+
+
+# dimensions of a block: small, at numpy's limits and beyond them, negative, and not ints
+DIMENSIONS = st.integers(0, 4) | st.sampled_from([2**31, 2**62, 2**63, 2**64, 10**30, -1, 1.0, True])
+
+
+@st.composite
+def trajectory_files(draw):
+    """A header line and bytes: junk, or a header of times, x and maybe p
+    blocks of any dimensions, mostly of one ensemble's shapes, and maybe one
+    foreign block; then as many bytes as its blocks take, or any number."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=64)) + b"\n" + draw(st.binary(max_size=64))
+    n, t, k = draw(DIMENSIONS), draw(DIMENSIONS), draw(DIMENSIONS)
+    shapes = {"times": [t], "x": [n, t, k], "p": [n, t, k]}
+    for name in draw(st.sets(st.sampled_from(sorted(shapes)))):
+        shapes[name] = draw(st.lists(DIMENSIONS, max_size=4))
+    names = ["times", "x"] + (["p"] if draw(st.booleans()) else [])
+    blocks = [{"name": name, "shape": shapes[name]} for name in names]
+    if draw(st.integers(0, 9)) == 0:
+        foreign = {"name": draw(st.sampled_from(names + ["header"])), "shape": [1]}
+        blocks.insert(draw(st.integers(0, len(blocks))), foreign)
+    header = {"schema_version": 1, "dtype": "<f8", "blocks": blocks}
+    sizes = [math.prod(block["shape"]) for block in blocks]
+    exact = 8 * sum(sizes) if all(type(size) is int and 0 <= size < 2**10 for size in sizes) else 0
+    size = draw(st.sampled_from([exact, exact + 8, max(exact - 8, 0)]) | st.integers(0, 256))
+    return json.dumps(header).encode() + b"\n" + draw(st.binary(min_size=size, max_size=size))
+
+
+def zero_size_file(x_shape):
+    blocks = [{"name": "times", "shape": [0]}, {"name": "x", "shape": x_shape}]
+    header = {"schema_version": 1, "dtype": "<f8", "blocks": blocks}
+    return json.dumps(header).encode() + b"\n"
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(data=trajectory_files())
+@example(data=zero_size_file([10**30, 0, 1]))
+@example(data=zero_size_file([2**63, 0, 1]))
+@example(data=zero_size_file([2**62, 0, 2**62]))
+@example(data=zero_size_file([5, 0, 1]))
+def test_trajectory_file_loads_as_its_header_says_or_is_rejected(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.bin")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            loaded = runio.load_trajectories(path)
+        except cli.ValidationError:
+            return
+        for block in loaded["header"]["blocks"]:
+            assert loaded[block["name"]].shape == tuple(block["shape"])
 
 
 # small valid configs: no mutation with the numbers below can make them run long

@@ -3,8 +3,10 @@
 The configs cover every command, both trajectory writers (CSV and binary) and
 a polynomial potential, whose tau_x comes from the Fokker-Planck spectral
 gap. Each runs through ``cli.run_experiment`` at ``threads`` 1 and 8; the two
-runs must agree with each other and with the pin. ``manifest.json`` records wall-clock time and is
-not pinned. The acceptance battery's records, without ``seconds``, are pinned
+runs must agree with each other and with the pin. A further test runs them
+all in child interpreters at one and at two BLAS threads, and requires
+every output's sha256 to be the same in both. ``manifest.json`` records
+wall-clock time and is not pinned. The acceptance battery's records, without ``seconds``, are pinned
 from the one run of the battery that the session shares with
 ``test_acceptance.py``.
 
@@ -30,8 +32,11 @@ which prints the ``config/output`` entries whose pin it changed.
 
 import hashlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -235,6 +240,44 @@ def test_command_outputs(tmp_path, name):
             assert_text_close("\n".join(got["lines"]), "\n".join(pins[output]["lines"]), 0.0, where)
         else:
             assert got == pins[output], where
+
+
+# run in a child interpreter, since BLAS reads its thread count at start-up:
+# the sha256 of every output of every pinned config but the manifest
+DIGEST_CHILD = """
+import hashlib, json, pathlib, sys, tempfile
+from bildsim import cli
+from test_output_pins import CONFIGS
+digests = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, config in CONFIGS.items():
+        out = pathlib.Path(tmp, name)
+        cli.run_experiment(config, str(out), threads=1)
+        for path in sorted(out.iterdir()):
+            if path.name != "manifest.json":
+                digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+sys.stdout.write(json.dumps(digests))
+"""
+
+
+def test_outputs_are_byte_identical_across_blas_threads():
+    # README promises outputs byte-identical across thread counts; the pins
+    # hold the BLAS outputs only to 1e-13, so this compares their bytes
+    src = pathlib.Path(cli.__file__).parents[1]
+    children = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), str(PINS_PATH.parent), env.get("PYTHONPATH")]))
+        command = [sys.executable, "-c", DIGEST_CHILD]
+        children.append(subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env))
+    digests = []
+    for child in children:
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err.decode()
+        digests.append(json.loads(out))
+    record = json.loads(PINS_PATH.read_text())
+    assert sorted(digests[0]) == sorted(f"{name}/{output}" for name in CONFIGS for output in record[name])
+    assert digests[0] == digests[1]
 
 
 def test_acceptance_records(acceptance_results):
