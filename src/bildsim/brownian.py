@@ -523,21 +523,17 @@ def coarse_velocities(
     epsilon: float,
     bin_edges,
     min_count: int = DEFAULT_MIN_BIN_COUNT,
-    t_index: int | None = None,
 ) -> tuple[VelocityFieldEstimate, VelocityFieldEstimate]:
     """Forward and backward velocities (v_plus, v_minus) of particle 0 on common bins.
 
     v_plus is the mean of (x(t+eps) - x(t))/eps given x(t) in each bin,
-    v_minus the mean of (x(t) - x(t-eps))/eps given x(t). By default all
-    windows between the lattice times 0, eps, 2 eps, ... are pooled. The
+    v_minus the mean of (x(t) - x(t-eps))/eps given x(t). All windows
+    between the lattice times 0, eps, 2 eps, ... are pooled. The
     positions are looked up in the bins once per lattice time, and each
     window's displacement is computed once: it serves v_plus through the bin
     of its start and v_minus through the bin of its end. Windows are
     disjoint, so the standard errors treat them as independent (justified by
-    the Markov property); pooling assumes a stationary ensemble. Pass
-    ``t_index`` to anchor both at a single stored time instead, which needs a
-    full window on each side of it: v_plus then takes the window after it
-    and v_minus the window before it.
+    the Markov property); pooling assumes a stationary ensemble.
 
     The trajectories are binned in blocks of 2^12. Each bin's sums add its
     windows in trajectory order, then in time order, across the blocks as
@@ -545,17 +541,8 @@ def coarse_velocities(
     """
     k = _epsilon_steps(ensemble.dt_store, ensemble.n_times, ensemble.config.dt, epsilon)
     edges = np.asarray(bin_edges, dtype=float)
-    if t_index is None:
-        lattice = slice(0, ensemble.n_times, k)
-    else:
-        if not k <= t_index < ensemble.n_times - k:
-            raise ValidationError(
-                f"t_index {t_index} needs {k} stored steps on each side "
-                f"within {ensemble.n_times} stored times"
-            )
-        lattice = slice(t_index - k, t_index + k + 1, k)
     n_trajectories = ensemble.x.shape[0]
-    n_lattice = len(range(*lattice.indices(ensemble.n_times)))
+    n_lattice = len(range(0, ensemble.n_times, k))
     rows = min(n_trajectories, _BLOCK)
     check_memory(40 * rows * n_lattice, "the velocity estimator's working set")
     n_bins = edges.size - 1
@@ -576,16 +563,13 @@ def coarse_velocities(
         pos = pos_buffer[: n_trajectories - start]
         # a lattice time of time-major memory is one contiguous row; the copy
         # transposes them into trajectory-major order
-        np.copyto(pos, ensemble.x[start : start + _BLOCK, lattice, 0])
+        np.copyto(pos, ensemble.x[start : start + _BLOCK, ::k, 0])
         steps = steps_buffer[: pos.size + 1]
         np.subtract(pos[:, 1:], pos[:, :-1], out=steps[1:].reshape(pos.shape)[:, :-1])
         steps /= epsilon
         # digitize's 0 (below the edges) and n_bins + 1 (at or above the last
         # edge, or nan) index two bins that are dropped
         idx = np.digitize(pos, edges)
-        if t_index is not None:
-            # only t_index anchors: the outer lattice times go to a dropped bin
-            idx[:, [0, -1]] = 0
         steps_sq = steps * steps
         flat = idx.ravel()
         occupancy += np.bincount(flat, minlength=n_bins + 2)
@@ -776,7 +760,7 @@ def _percentiles(samples, q: list, lo: float, hi: float) -> np.ndarray:
     if not (np.isfinite(lo) and np.isfinite(hi) and (lo == hi or np.isfinite(scale))):
         return np.percentile(np.concatenate([p.ravel() for p in _parts(samples)]), q)
     n = _sample_count(samples)
-    # numpy's _get_indexes, _get_gamma and _lerp
+    # numpy's quantile steps: the virtual indexes, their gamma and the lerp
     virtual = (n - 1) * np.true_divide(q, 100)
     prev = np.floor(virtual)
     nxt = prev + 1

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bildsim import brownian, runio
@@ -588,11 +590,10 @@ class TestStorageLayout:
 
     def test_coarse_velocities(self, layouts):
         edges = np.linspace(-2.0, 2.0, 9)
-        for t_index in (None, 8):
-            a, b = (coarse_velocities(ens, 1e-2, edges, t_index=t_index) for ens in layouts)
-            for va, vb in zip(a, b):
-                for field in ("values", "std_errors", "counts"):
-                    np.testing.assert_array_equal(getattr(va, field), getattr(vb, field))
+        a, b = (coarse_velocities(ens, 1e-2, edges) for ens in layouts)
+        for va, vb in zip(a, b):
+            for field in ("values", "std_errors", "counts"):
+                np.testing.assert_array_equal(getattr(va, field), getattr(vb, field))
 
     def test_nonsmoothness_witness(self, layouts):
         a, b = (nonsmoothness_witness(ens, [5e-3, 1e-2, 2e-2], 0.3) for ens in layouts)
@@ -697,15 +698,6 @@ class TestCoarseVelocities:
             assert np.all(np.isnan(v.values))
             assert np.all(v.counts == 0)
 
-
-    @pytest.mark.parametrize("t_index", [0, 3, 77, 80])
-    def test_t_index_needs_both_windows(self, stationary_ensemble, t_index):
-        # 81 stored times, eps = 4 steps: 4 <= t_index < 77 is allowed
-        with pytest.raises(ValidationError, match="t_index"):
-            coarse_velocities(
-                stationary_ensemble, 4e-3, np.linspace(-1, 1, 5), t_index=t_index
-            )
-
     def test_harmonic_ar1_oracle(self):
         # Euler-Maruyama in the harmonic well is x' = (1 - a) x + b xi with
         # a = k dt / gamma, so E[x(t + eps) - x(t) | x(t)] = ((1 - a)^m - 1) x(t)
@@ -775,18 +767,15 @@ class TestCoarseVelocities:
         assert four_blocks <= 40 * brownian._BLOCK * 11, peaks
 
 
-def two_pass_velocities(ensemble, epsilon, bin_edges, min_count, t_index=None):
+def two_pass_velocities(ensemble, epsilon, bin_edges, min_count):
     """The estimator that one lattice pass replaced: per direction, gather the
     anchors and both ends of each window, digitize the anchors, drop those
     outside the edges, then bincount. Returns (values, std_errors, counts)
     for v_plus and for v_minus."""
     k = int(round(epsilon / ensemble.dt_store))
     x = ensemble.x[:, :, 0]
-    if t_index is None:
-        starts = np.arange(0, ensemble.n_times - k, k)
-        ends = starts + k
-    else:
-        starts = ends = np.array([t_index])
+    starts = np.arange(0, ensemble.n_times - k, k)
+    ends = starts + k
     edges = np.asarray(bin_edges, dtype=float)
     n_bins = edges.size - 1
     result = []
@@ -859,47 +848,67 @@ class TestReferenceFormulas:
                 assert got.dtype == expected.dtype and got.shape == expected.shape, name
                 assert got.tobytes() == expected.tobytes(), name
 
-    @pytest.mark.parametrize("t_index", [None, 4, 40])
-    def test_simulated_ensemble(self, stationary_ensemble, t_index):
+    # the "None" in the case ids below names the pooled lattice, as it did
+    # when the estimator could also anchor at a single time; the ids are kept
+    @pytest.mark.parametrize("epsilon", [4e-3], ids=["None"])
+    def test_simulated_ensemble(self, stationary_ensemble, epsilon):
         edges = np.linspace(-2.0, 2.0, 21)
-        estimates = coarse_velocities(stationary_ensemble, 4e-3, edges, t_index=t_index)
-        self.assert_bit_identical(estimates, two_pass_velocities(stationary_ensemble, 4e-3, edges, 200, t_index))
+        estimates = coarse_velocities(stationary_ensemble, epsilon, edges)
+        self.assert_bit_identical(estimates, two_pass_velocities(stationary_ensemble, epsilon, edges, 200))
 
     @pytest.mark.parametrize(
         "edges",
         [np.linspace(-1.0, 1.0, 9), np.array([-1.0, -0.7, -0.1, 0.0, 0.05, 0.6, 1.0])],
         ids=["uniform", "non-uniform"],
     )
-    @pytest.mark.parametrize(
-        "epsilon,t_index,min_count",
-        # 22 steps between the 23 stored times: k = 2 divides them, k = 3
-        # leaves one over; k = 30 exceeds them, leaves no window and is rejected
-        [(2e-3, None, 2500), (3e-3, None, 2500), (3e-3, 3, 300), (3e-3, 19, 300), (3e-2, None, 2500)],
-    )
-    def test_edges_and_outliers(self, edges, epsilon, t_index, min_count):
+    # 22 steps between the 23 stored times: k = 2 divides them, k = 3
+    # leaves one over; k = 30 exceeds them, leaves no window and is rejected
+    @pytest.mark.parametrize("epsilon", [2e-3, 3e-3, 3e-2], ids=lambda eps: f"{eps}-None-2500")
+    def test_edges_and_outliers(self, edges, epsilon):
         ens = edge_case_ensemble(edges)
         if epsilon == 3e-2:
             with pytest.raises(ValidationError, match="longer than the run"):
-                coarse_velocities(ens, epsilon, edges, min_count=min_count, t_index=t_index)
+                coarse_velocities(ens, epsilon, edges, min_count=2500)
             return
-        estimates = coarse_velocities(ens, epsilon, edges, min_count=min_count, t_index=t_index)
-        reference = two_pass_velocities(ens, epsilon, edges, min_count, t_index)
+        estimates = coarse_velocities(ens, epsilon, edges, min_count=2500)
+        reference = two_pass_velocities(ens, epsilon, edges, 2500)
         self.assert_bit_identical(estimates, reference)
         for values, _, _ in reference:
             # some bins fall below min_count, some do not
             assert 0 < np.count_nonzero(np.isnan(values)) < values.size
 
-    @pytest.mark.parametrize("t_index", [None, 3])
     @pytest.mark.parametrize(
-        "n_trajectories", [17, brownian._BLOCK, 2 * brownian._BLOCK + 17, 2**14, 2 * 2**14 + 17]
+        "n_trajectories",
+        [17, brownian._BLOCK, 2 * brownian._BLOCK + 17, 2**14, 2 * 2**14 + 17],
+        ids=lambda n: f"{n}-None",
     )
-    def test_blocks(self, n_trajectories, t_index):
+    def test_blocks(self, n_trajectories):
         # less than one block, exactly one, and two and a part; then four
         # whole blocks, and eight and a part
         edges = np.linspace(-1.0, 1.0, 9)
         ens = edge_case_ensemble(edges, n_trajectories=n_trajectories)
-        estimates = coarse_velocities(ens, 3e-3, edges, min_count=2, t_index=t_index)
-        self.assert_bit_identical(estimates, two_pass_velocities(ens, 3e-3, edges, 2, t_index))
+        estimates = coarse_velocities(ens, 3e-3, edges, min_count=2)
+        self.assert_bit_identical(estimates, two_pass_velocities(ens, 3e-3, edges, 2))
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_pooled_matches_two_pass(self, data):
+        # ensembles of up to three blocks and a part, epsilon of k = 2 to 5
+        # stored steps of 1e-3, edges uniform or not, positions on, next to and
+        # outside the edges, and some nan
+        k = data.draw(st.integers(2, 5))
+        n_times = data.draw(st.integers(k + 1, 4 * k + 3))
+        n_trajectories = data.draw(st.integers(1, 3 * brownian._BLOCK + 17))
+        uniform = st.integers(1, 12).map(lambda n: np.linspace(-1.0, 1.0, n + 1))
+        sorted_floats = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=10, unique=True)
+        edges = data.draw(uniform | sorted_floats.map(lambda v: np.array(sorted(v))))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        ens = edge_case_ensemble(edges, n_trajectories, n_times, seed=seed)
+        nan_fraction = data.draw(st.sampled_from([0.0, 0.01, 0.3]))
+        ens.x[np.random.default_rng([seed, 1]).random(ens.x.shape) < nan_fraction] = np.nan
+        min_count = data.draw(st.integers(1, 500))
+        estimates = coarse_velocities(ens, k * 1e-3, edges, min_count=min_count)
+        self.assert_bit_identical(estimates, two_pass_velocities(ens, k * 1e-3, edges, min_count))
 
     @pytest.mark.parametrize("epsilon", [5e-3, 1e-2, 2e-2])
     def test_momentum_resolution(self, free_underdamped, epsilon):
@@ -922,13 +931,11 @@ class TestStoreEvery:
         )
         edges = np.linspace(-2.0, 2.0, 9)
         for epsilon in (4e-3, 8e-3):
-            for t_index in (None, 16):
-                thinned_index = None if t_index is None else t_index // store_every
-                a = coarse_velocities(full, epsilon, edges, min_count=2, t_index=t_index)
-                b = coarse_velocities(thinned, epsilon, edges, min_count=2, t_index=thinned_index)
-                for va, vb in zip(a, b):
-                    for field in ("values", "std_errors", "counts"):
-                        assert getattr(va, field).tobytes() == getattr(vb, field).tobytes(), (epsilon, field)
+            a = coarse_velocities(full, epsilon, edges, min_count=2)
+            b = coarse_velocities(thinned, epsilon, edges, min_count=2)
+            for va, vb in zip(a, b):
+                for field in ("values", "std_errors", "counts"):
+                    assert getattr(va, field).tobytes() == getattr(vb, field).tobytes(), (epsilon, field)
 
     @pytest.mark.parametrize("store_every", [2, 4])
     def test_momentum_resolution_check(self, store_every):
@@ -1350,32 +1357,6 @@ class TestNonsmoothness:
         # every windowed sample lies in [0.980, 1.0], inside the bin 0.99 +- 0.05
         rows = nonsmoothness_witness(ens, [4e-3], bin_center=0.99)
         assert rows[0]["gap"] <= 2.0 * 4e-3
-
-    @pytest.mark.parametrize("temperature", [0.5, 2.0])
-    def test_heat_kernel_oracle(self, temperature):
-        # free diffusion from a point: the backward conditional mean follows
-        # the bridge law, giving u(x, t) = x / (2 t) independent of T at
-        # fixed x (T moves the spread, not the ratio)
-        config = harmonic_config(
-            potential=Potential.free(),
-            temperatures=(temperature,),
-            x_init=0.0,
-            dt=1e-3,
-            t_end=0.11,
-            n_trajectories=40_000,
-            store_every=1,
-            seed=5,
-        )
-        ens = integrate_overdamped(config)
-        t_index = 100  # t = 0.1
-        eps = 0.01
-        edges = np.array([0.55, 0.65])
-        vp, vm = coarse_velocities(ens, eps, edges, t_index=t_index, min_count=100)
-        u = osmotic_velocity(vp, vm)
-        expected = 0.6 / (2.0 * 0.1)
-        assert u.values[0] == pytest.approx(expected, abs=3 * u.std_errors[0] + 0.3)
-        # v- at x > 0 is positive: particles arrived by moving outward
-        assert vm.values[0] > 0.0
 
 
 @pytest.fixture(scope="module")
