@@ -2,7 +2,9 @@
 
 Each criterion returns a result record; `run_all` executes the full battery
 and is shared by the CLI `acceptance` subcommand and the test suite. All
-tolerances are pinned here, not configurable.
+tolerances are pinned here, not configurable. A criterion holds only what
+it reads: criteria 9 and 10 read running velocity tallies and a KDE sample
+of one streamed run, no stored ensemble, and criteria 4 and 11 work in blocks.
 """
 
 import os
@@ -16,13 +18,15 @@ from . import chsh, fields, linalg
 from .brownian import (
     LangevinConfig,
     Potential,
-    coarse_velocities,
+    VelocityTally,
+    epsilon_steps,
     integrate_overdamped,
     integrate_underdamped,
     log_density_gradient,
     momentum_resolution_check,
-    nonsmoothness_witness,
     osmotic_velocity,
+    stored_states,
+    velocity_gap,
 )
 from .errors import philox
 
@@ -219,24 +223,45 @@ def criterion_8() -> CriterionResult:
     )
 
 
-def _checkerboard(lattice: np.ndarray) -> tuple:
-    """The positions of a (trajectory i, lattice time j) view with i + j
-    even, as one strided view per lattice time: a KDE sample read in place.
-    For an odd number of lattice times, such as the shared ensemble's 31,
-    they are lattice.flat[::2]: 1.86M of its 3.72M positions. For an even
-    number of trajectories the views share one shape, so np.size of the
-    tuple counts the positions."""
-    return tuple(lattice[j % 2 :: 2, j] for j in range(lattice.shape[1]))
+# criterion 9's epsilon and bins, then criterion 10's epsilon sweep and bin
+_BENCH_BINS = [(4e-3, np.arange(-2.05, 2.0501, 0.1))] + [
+    (eps, np.array([0.95, 1.05])) for eps in (4e-3, 6e-3, 8e-3, 1e-2)
+]
 
 
-def criterion_9(ens) -> CriterionResult:
-    """Osmotic velocity equals -T d/dx log density on the stationary bench ``ens``."""
-    eps = 4e-3
-    edges = np.arange(-2.05, 2.0501, 0.1)
-    vp, vm = coarse_velocities(ens, eps, edges)
+def _stream_bench() -> tuple:
+    """What criteria 9 and 10 read of the stationary-oscillator bench, from
+    one streamed run of it (``stored_states``): criterion 9's (v_plus,
+    v_minus) and KDE sample, and criterion 10's (v_plus, v_minus) per
+    epsilon. Each stored position row feeds the velocity tallies whose
+    lattice it is on. On criterion 9's lattice j = 0, 1, ..., 30 the
+    positions of trajectories i with i + j even go into the KDE sample: of
+    the (i, j) lattice, .flat[::2], 1.86M of 3.72M positions, held as the
+    rows of one array. The run stores every 2nd step: the epsilons are 4, 6, 8 and 10
+    steps."""
+    config = _langevin(t_end=0.12, n_trajectories=120_000, seed=7878, store_every=2)
+    n = config.n_trajectories
+    tallies = [VelocityTally(edges, eps, n) for eps, edges in _BENCH_BINS]
+    steps = [epsilon_steps(config, eps) for eps, _ in _BENCH_BINS]
+    n_stored = round(config.t_end / config.dt) // config.store_every + 1
+    # n is even, so that every row holds n / 2 positions
+    sample = np.empty((len(range(0, n_stored, steps[0])), n // 2))
+    for slot, (_, x, _) in enumerate(stored_states(config, underdamped=False)):
+        for tally, k in zip(tallies, steps):
+            if slot % k == 0:
+                tally.add(x[:, 0])
+        if slot % steps[0] == 0:
+            j = slot // steps[0]
+            sample[j] = x[j % 2 :: 2, 0]
+    estimates = [tally.estimates() for tally in tallies]
+    return estimates[0], tuple(sample), estimates[1:]
+
+
+def criterion_9(bench: tuple) -> CriterionResult:
+    """Osmotic velocity equals -T d/dx log density on the stationary bench."""
+    (vp, vm), sample, _ = bench
     u = osmotic_velocity(vp, vm)
-    lattice = ens.x[:, :: int(round(eps / ens.dt_store)), 0]
-    oracle = -1.0 * log_density_gradient(_checkerboard(lattice), u.bin_centers)
+    oracle = -1.0 * log_density_gradient(sample, u.bin_centers)
     ok_bins = ~np.isnan(u.values)
     dev = np.abs(u.values[ok_bins] - oracle[ok_bins])
     tol = 3.0 * u.std_errors[ok_bins] + 0.03
@@ -257,10 +282,9 @@ def criterion_9(ens) -> CriterionResult:
     )
 
 
-def criterion_10(ens) -> CriterionResult:
-    """Velocity gap at x=1 stays above 1 (5 sigma) across the epsilon sweep on ``ens``."""
-    eps_list = [4e-3, 6e-3, 8e-3, 1e-2]
-    rows = nonsmoothness_witness(ens, eps_list, bin_center=1.0)
+def criterion_10(bench: tuple) -> CriterionResult:
+    """Velocity gap at x=1 stays above 1 (5 sigma) across the epsilon sweep on the bench."""
+    rows = [velocity_gap(vp, vm) for vp, vm in bench[2]]
     ok = all(row["gap"] - 5.0 * row["gap_err"] > 1.0 for row in rows)
     gaps = ", ".join(f"{r['gap']:.3f}@{r['epsilon']:g}" for r in rows)
     return _result(10, "trajectory non-smoothness", ok, f"gaps [{gaps}] all > 1 at 5 sigma")
@@ -356,28 +380,25 @@ _CRITERIA = [
 def run_all(numbers=None) -> list[CriterionResult]:
     """Run the battery (optionally a subset), timing each criterion.
 
-    Criteria 9 and 10 share the expensive stationary-oscillator ensemble. It
-    is integrated just before the first of them that runs and dropped after
-    the last, outside either criterion's time, so no other criterion's
-    arrays stack on it. It stores every 2nd step: both criteria read
-    multiples of 4, 6, 8 and 10 steps. Criterion 8 stores its first and last
-    state only, and criterion 11 every 4th step, its epsilon.
+    Criteria 9 and 10 share the stationary-oscillator bench, streamed once
+    (``_stream_bench``) just before the first of them that runs, outside
+    either criterion's time; what it leaves, the velocity estimates and
+    criterion 9's 15 MB KDE sample, is dropped after the last. Criterion 8
+    stores its first and last state only, criterion 11 every 4th step.
     """
     selected = set(numbers or range(1, 13))
     users = sorted({9, 10} & selected)
-    shared = None
+    bench = None
     results = []
     for number, func in enumerate(_CRITERIA, start=1):
         if number not in selected:
             continue
         if users and number == users[0]:
-            shared = integrate_overdamped(
-                _langevin(t_end=0.12, n_trajectories=120_000, seed=7878, store_every=2)
-            )
+            bench = _stream_bench()
         start = time.perf_counter()
-        res = func(shared) if number in users else func()
+        res = func(bench) if number in users else func()
         res.seconds = time.perf_counter() - start
         results.append(res)
         if users and number == users[-1]:
-            shared = None
+            bench = None
     return results

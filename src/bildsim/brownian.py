@@ -23,8 +23,8 @@ from .errors import NumericalError, RegimeError, ValidationError, check_memory, 
 
 DEFAULT_MIN_BIN_COUNT = 200
 
-# trajectories per block of coarse_velocities: its working set, 40 bytes per
-# trajectory and lattice time of a block, stays well below the ensemble it reads
+# trajectories per block of momentum_resolution_check: its working set, 25 bytes
+# per trajectory and lattice time of a block, stays well below the ensemble
 _BLOCK = 2**12
 
 # binned KDE of log_density_gradient: kernel cut in bandwidths, grid nodes
@@ -362,27 +362,22 @@ def _schedule(config: LangevinConfig) -> tuple[int, int]:
     return n_steps, n_steps // config.store_every + 1
 
 
-def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> TrajectoryEnsemble:
-    """Shared Euler-Maruyama loop; ``advance(x, p, xi)`` returns the next (x, p).
+def stored_states(config: LangevinConfig, underdamped: bool):
+    """Euler-Maruyama for the underdamped dx = (p/m) dt, dp = (F - gamma p/m) dt
+    + sqrt(2 gamma T) dW, or the overdamped dx = (F/gamma) dt + sqrt(2 T/gamma) dW,
+    as a stream of (time, x, p) at each stored time: x and p (None when
+    overdamped) are (trajectory, particle) buffers that the next step
+    overwrites. The regime checks are the integrators'.
 
     Draw order, which fixes the output bit for bit for a (config, seed):
     initial positions, initial momenta (underdamped only), then one
     standard-normal array of shape x.shape per step. The state that carries
-    the noise (p, or x when overdamped) is checked every 200 steps, and
-    every stored state, momenta included, once the run ends. Storage
-    larger than the machine's physical memory, a step count t_end / dt too
-    large to be a number, more than 10^12 particle-steps, or a seed that is
-    not an integer in [0, 2^64) is a ValidationError, raised before anything
-    is allocated.
-
-    The stored arrays are held time-major, (time, trajectory, particle), and
-    returned as (trajectory, time, particle) views of that memory: they index
-    like the ensemble's contract says but are not C-contiguous.
+    the noise (p, or x when overdamped) is checked every 200 steps. A step
+    count t_end / dt too large to be a number, more than 10^12
+    particle-steps, or a seed that is not an integer in [0, 2^64) is a
+    ValidationError, raised before the first draw.
     """
-    n_steps, n_stored = _schedule(config)
-    # xs, ps (underdamped) and times
-    per_time = (1 + underdamped) * config.n_trajectories * config.n_particles + 1
-    check_memory(8 * n_stored * per_time, "the stored ensemble")
+    n_steps, _ = _schedule(config)
     # hours at ~2e7 particle-steps a second; the largest test or criterion takes 1e8
     work = n_steps * config.n_trajectories * config.n_particles
     check_work(work, f"{n_steps} steps x {config.n_trajectories} trajectories x {config.n_particles} particles")
@@ -393,24 +388,47 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
     springs = np.asarray(config.potential.spring_constants)
     x = _initial_state(config.x_init, lambda: config.temps / springs, shape, rng)
     p = _initial_state(config.p_init, lambda: config.mass * config.temps, shape, rng) if underdamped else None
+    xi = np.empty(shape)
+    gamma, m, dt, force = config.gamma, config.mass, config.dt, config.potential.force
+    noise_amp = np.sqrt(2.0 * (gamma * config.temps if underdamped else config.diffusion_coefficients()) * dt)
+    for step in range(n_steps + 1):
+        if step % config.store_every == 0:
+            yield step * dt, x, p
+        if step == n_steps:
+            return
+        rng.standard_normal(out=xi)
+        # in place, each term added in turn: the roundings of x + a + b
+        if underdamped:
+            dp = (force(x) - gamma * p / m) * dt + noise_amp * xi
+            x += (p / m) * dt
+            p += dp
+        else:
+            x += force(x) / gamma * dt
+            x += noise_amp * xi
+        if step % 200 == 0:
+            _check_finite(p if underdamped else x, step, dt)
+
+
+def _collect(config: LangevinConfig, underdamped: bool) -> TrajectoryEnsemble:
+    """The stored states of ``stored_states`` as an ensemble, each checked once
+    the run ends. Storage larger than the machine's physical memory is a
+    ValidationError, raised before anything is allocated. The stored arrays
+    are held time-major, (time, trajectory, particle), and returned as
+    (trajectory, time, particle) views of that memory: they index like the
+    ensemble's contract says but are not C-contiguous.
+    """
+    n_steps, n_stored = _schedule(config)
+    # xs, ps (underdamped) and times
+    per_time = (1 + underdamped) * config.n_trajectories * config.n_particles + 1
+    check_memory(8 * n_stored * per_time, "the stored ensemble")
     # time-major, so that each stored state is one contiguous write
     xs = np.empty((n_stored, config.n_trajectories, config.n_particles))
     ps = np.empty_like(xs) if underdamped else None
     times = np.empty(n_stored)
-    slot = 0
-    for step in range(n_steps + 1):
-        if step % config.store_every == 0:
-            xs[slot] = x
-            if underdamped:
-                ps[slot] = p
-            times[slot] = step * config.dt
-            slot += 1
-        if step == n_steps:
-            break
-        xi = rng.standard_normal(x.shape)
-        x, p = advance(x, p, xi)
-        if step % 200 == 0:
-            _check_finite(p if underdamped else x, step, config.dt)
+    for slot, (t, x, p) in enumerate(stored_states(config, underdamped)):
+        times[slot], xs[slot] = t, x
+        if underdamped:
+            ps[slot] = p
     _check_finite(xs, n_steps, config.dt)
     if underdamped:
         _check_finite(ps, n_steps, config.dt)
@@ -419,35 +437,22 @@ def _euler_maruyama(config: LangevinConfig, advance, underdamped: bool) -> Traje
 
 
 def integrate_underdamped(config: LangevinConfig) -> TrajectoryEnsemble:
-    """Euler-Maruyama for dx = (p/m) dt, dp = (F - gamma p/m) dt + sqrt(2 gamma T) dW."""
+    """The underdamped run of ``stored_states``, collected, at a step dt of at most tau_p / 20."""
     if config.dt > config.tau_p / 20.0:
         raise RegimeError(
             f"dt={config.dt:.3g} exceeds tau_p/20={config.tau_p / 20.0:.3g}; "
             "momentum dynamics would be under-resolved"
         )
-    gamma, m, dt = config.gamma, config.mass, config.dt
-    noise_amp = np.sqrt(2.0 * gamma * config.temps * dt)
-
-    def advance(x, p, xi):
-        dp = (config.potential.force(x) - gamma * p / m) * dt + noise_amp * xi
-        return x + (p / m) * dt, p + dp
-
-    return _euler_maruyama(config, advance, underdamped=True)
+    return _collect(config, underdamped=True)
 
 
 def integrate_overdamped(config: LangevinConfig) -> TrajectoryEnsemble:
-    """Euler-Maruyama for dx = (F/gamma) dt + sqrt(2 T/gamma) dW, at a step
-    dt of at most 1e-3 tau_x (``timescale_report``) for every potential kind."""
-    gamma, dt = config.gamma, config.dt
+    """The overdamped run of ``stored_states``, collected, at a step dt of at
+    most 1e-3 tau_x (``timescale_report``) for every potential kind."""
     bound = 1e-3 * timescale_report(config).tau_x
-    if dt > bound:
-        raise RegimeError(f"dt={dt:.3g} exceeds overdamped step bound {bound:.3g}")
-    noise_amp = np.sqrt(2.0 * config.diffusion_coefficients() * dt)
-
-    def advance(x, p, xi):
-        return x + config.potential.force(x) / gamma * dt + noise_amp * xi, None
-
-    return _euler_maruyama(config, advance, underdamped=False)
+    if config.dt > bound:
+        raise RegimeError(f"dt={config.dt:.3g} exceeds overdamped step bound {bound:.3g}")
+    return _collect(config, underdamped=False)
 
 
 @dataclass(frozen=True)
@@ -518,75 +523,76 @@ def _binned_velocity(
     )
 
 
+class VelocityTally:
+    """Forward and backward velocities of one coordinate on common bins, fed
+    its positions at the lattice times 0, eps, 2 eps, ... one lattice time
+    after another: ``add`` takes each such row of all trajectories in turn.
+
+    v_plus is the mean of (x(t+eps) - x(t))/eps given x(t) in each bin,
+    v_minus the mean of (x(t) - x(t-eps))/eps given x(t). Each row is looked
+    up in the bins once, and each window's displacement is computed once: it
+    serves v_plus through the bin of its start and v_minus through the bin
+    of its end. Each bin's sums add its windows in time order, and within
+    one window time in row order. The tally keeps the last row's positions
+    and bins, so a row may be a buffer that its producer overwrites.
+    """
+
+    def __init__(self, bin_edges, epsilon: float, n_trajectories: int):
+        # 40 bytes per trajectory: the last row's positions and bins, the new
+        # row's bins, and the displacements and their squares
+        check_memory(40 * n_trajectories, "the velocity estimator's working set")
+        self.edges = np.asarray(bin_edges, dtype=float)
+        self.epsilon = epsilon
+        # per direction, v_plus then v_minus, and per bin of np.digitize (its 0
+        # below the edges and n_bins + 1 at or above the last, or nan, are
+        # dropped): the windows, and the sums of their steps and squares
+        self.counts = np.zeros((2, self.edges.size + 1), dtype=np.intp)
+        self.sums = np.zeros((2, self.edges.size + 1))
+        self.sq = np.zeros_like(self.sums)
+        self._last = np.empty(n_trajectories)
+        self._last_bins = None
+
+    def add(self, row: np.ndarray) -> None:
+        """Take the positions at the next lattice time: the windows that end there."""
+        bins = np.digitize(row, self.edges)
+        if self._last_bins is not None:
+            steps = row - self._last
+            steps /= self.epsilon
+            steps_sq = steps * steps
+            # add.at adds in input order, as bincount does
+            for d, at in enumerate((self._last_bins, bins)):
+                self.counts[d] += np.bincount(at, minlength=self.edges.size + 1)
+                np.add.at(self.sums[d], at, steps)
+                np.add.at(self.sq[d], at, steps_sq)
+        np.copyto(self._last, row)
+        self._last_bins = bins
+
+    def estimates(self, min_count: int = DEFAULT_MIN_BIN_COUNT) -> tuple:
+        """(v_plus, v_minus) of the windows taken so far."""
+        return tuple(
+            _binned_velocity(self.counts[d, 1:-1], self.sums[d, 1:-1], self.sq[d, 1:-1], self.edges, self.epsilon, min_count)
+            for d in range(2)
+        )
+
+
 def coarse_velocities(
     ensemble: TrajectoryEnsemble,
     epsilon: float,
     bin_edges,
     min_count: int = DEFAULT_MIN_BIN_COUNT,
 ) -> tuple[VelocityFieldEstimate, VelocityFieldEstimate]:
-    """Forward and backward velocities (v_plus, v_minus) of particle 0 on common bins.
-
-    v_plus is the mean of (x(t+eps) - x(t))/eps given x(t) in each bin,
-    v_minus the mean of (x(t) - x(t-eps))/eps given x(t). All windows
-    between the lattice times 0, eps, 2 eps, ... are pooled. The
-    positions are looked up in the bins once per lattice time, and each
-    window's displacement is computed once: it serves v_plus through the bin
-    of its start and v_minus through the bin of its end. Windows are
-    disjoint, so the standard errors treat them as independent (justified by
-    the Markov property); pooling assumes a stationary ensemble.
-
-    The trajectories are binned in blocks of 2^12. Each bin's sums add its
-    windows in trajectory order, then in time order, across the blocks as
-    within one, so no output depends on the block size.
+    """Forward and backward velocities (v_plus, v_minus) of particle 0 on
+    common bins, from all windows between the lattice times 0, eps, 2 eps, ...
+    (``VelocityTally``, fed each lattice time's positions in place). Windows
+    are disjoint, so the standard errors treat them as independent
+    (justified by the Markov property); pooling assumes a stationary
+    ensemble.
     """
     k = _epsilon_steps(ensemble.dt_store, ensemble.n_times, ensemble.config.dt, epsilon)
-    edges = np.asarray(bin_edges, dtype=float)
-    n_trajectories = ensemble.x.shape[0]
-    n_lattice = len(range(0, ensemble.n_times, k))
-    rows = min(n_trajectories, _BLOCK)
-    check_memory(40 * rows * n_lattice, "the velocity estimator's working set")
-    n_bins = edges.size - 1
-    occupancy = np.zeros(n_bins + 2, dtype=np.intp)
-    # per direction, v_plus then v_minus: the bin counts of the lattice times
-    # that start (end) no window, and the running sums of the steps and of
-    # their squares
-    idle = np.zeros((2, n_bins + 2), dtype=np.intp)
-    sums = np.zeros((2, n_bins + 2))
-    sq = np.zeros((2, n_bins + 2))
-    # per block, the particle-0 positions at the lattice times, (trajectory,
-    # lattice time), and the windows' displacements over epsilon, flat: a
-    # zero, then per trajectory its windows and another zero. Read as pos,
-    # steps[1:] puts each window at its start and steps[:-1] at its end.
-    pos_buffer = np.empty((rows, n_lattice))
-    steps_buffer = np.zeros(rows * n_lattice + 1)
-    for start in range(0, n_trajectories, _BLOCK):
-        pos = pos_buffer[: n_trajectories - start]
-        # a lattice time of time-major memory is one contiguous row; the copy
-        # transposes them into trajectory-major order
-        np.copyto(pos, ensemble.x[start : start + _BLOCK, ::k, 0])
-        steps = steps_buffer[: pos.size + 1]
-        np.subtract(pos[:, 1:], pos[:, :-1], out=steps[1:].reshape(pos.shape)[:, :-1])
-        steps /= epsilon
-        # digitize's 0 (below the edges) and n_bins + 1 (at or above the last
-        # edge, or nan) index two bins that are dropped
-        idx = np.digitize(pos, edges)
-        steps_sq = steps * steps
-        flat = idx.ravel()
-        occupancy += np.bincount(flat, minlength=n_bins + 2)
-        # a trajectory's last lattice time starts no window and its first ends
-        # none; their steps are the zero padding, which leaves every sum as it
-        # was. add.at adds in input order, as one bincount over all blocks would.
-        for d, (window, edge) in enumerate(((slice(1, None), -1), (slice(None, -1), 0))):
-            idle[d] += np.bincount(idx[:, edge], minlength=n_bins + 2)
-            np.add.at(sums[d], flat, steps[window])
-            np.add.at(sq[d], flat, steps_sq[window])
-        # freed before the next block's are made, so that they do not stack
-        del steps_sq, idx, flat
-    v_plus, v_minus = (
-        _binned_velocity((occupancy - idle[d])[1:-1], sums[d, 1:-1], sq[d, 1:-1], edges, epsilon, min_count)
-        for d in range(2)
-    )
-    return v_plus, v_minus
+    tally = VelocityTally(bin_edges, epsilon, ensemble.x.shape[0])
+    for j in range(0, ensemble.n_times, k):
+        tally.add(ensemble.x[:, j, 0])
+    return tally.estimates(min_count)
 
 
 def osmotic_velocity(
@@ -609,27 +615,26 @@ def osmotic_velocity(
 
 
 def nonsmoothness_witness(ensemble: TrajectoryEnsemble, epsilons, bin_center: float) -> list[dict]:
-    """Gap |v_plus - v_minus| in the bin bin_center +- 0.05 for a sweep of time increments.
+    """Gap |v_plus - v_minus| in the bin bin_center +- 0.05 for a sweep of
+    time increments: one ``velocity_gap`` row per epsilon.
 
     For non-smooth diffusive trajectories the gap stays bounded away from
     zero as epsilon shrinks toward the resolution limit.
     """
     edges = np.array([bin_center - 0.05, bin_center + 0.05])
-    rows = []
-    for eps in epsilons:
-        vp, vm = coarse_velocities(ensemble, eps, edges)
-        gap = abs(vm.values[0] - vp.values[0])
-        gap_err = float(np.hypot(vp.std_errors[0], vm.std_errors[0]))
-        rows.append(
-            {
-                "epsilon": float(eps),
-                "v_plus": float(vp.values[0]),
-                "v_minus": float(vm.values[0]),
-                "gap": float(gap),
-                "gap_err": gap_err,
-            }
-        )
-    return rows
+    return [velocity_gap(*coarse_velocities(ensemble, eps, edges)) for eps in epsilons]
+
+
+def velocity_gap(v_plus: VelocityFieldEstimate, v_minus: VelocityFieldEstimate) -> dict:
+    """The witness row of the first bin of (v_plus, v_minus): epsilon, both
+    velocities, their gap and its standard error."""
+    return {
+        "epsilon": float(v_plus.epsilon),
+        "v_plus": float(v_plus.values[0]),
+        "v_minus": float(v_minus.values[0]),
+        "gap": float(abs(v_minus.values[0] - v_plus.values[0])),
+        "gap_err": float(np.hypot(v_plus.std_errors[0], v_minus.std_errors[0])),
+    }
 
 
 class MomentumResolutionResult(NamedTuple):
@@ -644,7 +649,12 @@ def momentum_resolution_check(
     ensemble: TrajectoryEnsemble, epsilon: float, p_center: float
 ) -> MomentumResolutionResult:
     """At time increments well below tau_p both directional velocities
-    collapse to the instantaneous p/m of the momentum bin p_center +- 0.05."""
+    collapse to the instantaneous p/m of the momentum bin p_center +- 0.05.
+
+    The windows of each anchor whose momentum is in the bin are gathered
+    one block of 2^12 trajectories at a time, in trajectory order, then
+    anchor order, as one 2-D mask over all trajectories would pick them.
+    """
     if ensemble.p is None:
         raise ValidationError("momentum resolution check needs an underdamped ensemble")
     tau_p = ensemble.config.tau_p
@@ -654,22 +664,30 @@ def momentum_resolution_check(
             "resolution only coarse-grained velocities are defined"
         )
     k = _epsilon_steps(ensemble.dt_store, ensemble.n_times, ensemble.config.dt, epsilon)
-    x = ensemble.x[:, ::k, 0]
-    # at most 33 bytes per trajectory and lattice time: the displacements, the
-    # bin mask, and when every momentum is in the bin the two windows picked
-    # and np.std's deviations from their mean
-    check_memory(33 * x.size, "the momentum check's working set")
-    disp = np.diff(x, axis=1)
-    disp /= epsilon
-    # anchors are the inner lattice times: window j + 1 leaves anchor j and
-    # window j arrives there
-    p_mid = ensemble.p[:, ::k, 0][:, 1:-1]
-    in_bin = np.abs(p_mid - p_center) <= 0.05
-    nf = int(in_bin.sum())
+    x, p = ensemble.x[:, ::k, 0], ensemble.p[:, ::k, 0]
+    # per block, at most 25 bytes per trajectory and lattice time: the
+    # displacements (or the momenta's distances from p_center), the bin mask
+    # and its indices; when every momentum is in the bin, 24 bytes per
+    # anchor: the two windows picked and np.std's deviations from their mean
+    check_memory(24 * x.size + 25 * min(x.shape[0], _BLOCK) * x.shape[1], "the momentum check's working set")
+    forward, backward = [], []
+    for start in range(0, x.shape[0], _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        # anchors are the inner lattice times: window j + 1 leaves anchor j
+        # and window j arrives there
+        dist = p[rows, 1:-1] - p_center
+        in_bin = np.abs(dist, out=dist) <= 0.05
+        del dist
+        disp = np.diff(x[rows], axis=1)
+        disp /= epsilon
+        # a 2-D mask selects in C order: trajectory-major, then anchor
+        forward.append(disp[:, 1:][in_bin])
+        backward.append(disp[:, :-1][in_bin])
+        del disp
+    vf, vb = np.concatenate(forward), np.concatenate(backward)
+    nf = vf.size
     if nf < DEFAULT_MIN_BIN_COUNT:
         raise ValidationError(f"only {nf} samples in the momentum bin")
-    # a 2-D mask selects in C order: trajectory-major, then anchor
-    vf, vb = disp[:, 1:][in_bin], disp[:, :-1][in_bin]
     return MomentumResolutionResult(
         v_plus=float(vf.mean()),
         v_plus_err=float(vf.std(ddof=1) / np.sqrt(nf)),

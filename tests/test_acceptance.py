@@ -4,13 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines; the same battery backs the CLI ``acceptance`` command.
 """
 
+import dataclasses
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from bildsim import acceptance
+from bildsim import acceptance, brownian
 
 
 @pytest.mark.parametrize("number", range(1, 13))
@@ -22,52 +23,78 @@ def test_criterion(acceptance_results, number):
     assert res.passed, f"criterion {res.number} ({res.name}): {res.detail}"
 
 
-class _Ensemble:
-    """Stands in for the shared ensemble; a weak reference tells whether it lives."""
-
-
 @pytest.mark.parametrize("numbers,builds", [([9, 10], 1), ([10], 1), ([1, 11], 0), (None, 1)])
 def test_shared_ensemble_lives_only_through_criteria_9_and_10(monkeypatch, numbers, builds):
-    built = []
+    # the seed-7878 bench shared by criteria 9 and 10 is streamed, never
+    # integrated into a stored ensemble, once before the first of them; what
+    # it leaves is dropped after the last. The spy streams a shorter run of it.
+    streams, samples = [], []
+
+    def stream(config, underdamped):
+        assert config.seed == 7878 and not underdamped
+        streams.append(config)
+        return brownian.stored_states(dataclasses.replace(config, t_end=8e-3), underdamped)
 
     def integrate(config):
-        assert config.seed == 7878
-        ens = _Ensemble()
-        built.append(weakref.ref(ens))
-        return ens
+        raise AssertionError("the bench is integrated into a stored ensemble")
 
     def stub(number):
-        def criterion(*ens):
+        def criterion(*bench):
             if number < 9:
-                assert not built
+                assert not streams
             elif number in (9, 10):
-                assert ens == (built[-1](),)
+                (_, sample, _), = bench
+                samples.append(weakref.ref(sample[0].base))
             else:
-                assert all(ref() is None for ref in built)
+                assert all(ref() is None for ref in samples)
             return acceptance._result(number, "stub", True, "")
 
         return criterion
 
+    monkeypatch.setattr(acceptance, "stored_states", stream)
     monkeypatch.setattr(acceptance, "integrate_overdamped", integrate)
     monkeypatch.setattr(acceptance, "_CRITERIA", [stub(n) for n in range(1, 13)])
     results = acceptance.run_all(numbers)
     assert [r.number for r in results] == sorted(numbers or range(1, 13))
-    assert len(built) == builds
-    assert all(ref() is None for ref in built)
+    assert len(streams) == builds
+    assert all(ref() is None for ref in samples)
 
 
-@pytest.mark.parametrize("rows,times", [(120_000, 31), (7, 5), (8, 1)])
-def test_checkerboard_is_every_other_lattice_position_in_place(rows, times):
-    # criterion 9's lattice, (trajectory, lattice time) of time-major memory;
-    # every position distinct, so the multiset is the set of values
-    memory = np.arange(rows * times, dtype=np.int32).reshape(times, rows)
-    lattice = memory.T
-    parts = acceptance._checkerboard(lattice)
-    assert all(np.shares_memory(part, memory) for part in parts)
-    got = np.sort(np.concatenate(parts))
-    np.testing.assert_array_equal(got, np.sort(lattice.flat[::2]))
-    if rows % 2 == 0:
-        assert np.size(parts) == got.size
+def test_criterion_9_sample_is_every_other_lattice_position(monkeypatch):
+    # the spy streams distinct positions: the bench's 61 stored states of
+    # 120k trajectories, numbered in time-major order
+    stored = []
+
+    def stream(config, underdamped):
+        for j in range(61):
+            stored.append(np.arange(j * 120_000, (j + 1) * 120_000, dtype=float)[:, None])
+            yield j * 2e-3, stored[-1], None
+
+    monkeypatch.setattr(acceptance, "stored_states", stream)
+    _, sample, _ = acceptance._stream_bench()
+    # criterion 9's (trajectory i, lattice time j) positions at epsilon = 2 stored steps
+    lattice = np.stack([x[:, 0] for x in stored[::2]], axis=1)
+    assert len(sample) == 31 and {part.shape for part in sample} == {(60_000,)}
+    assert all(part.base is sample[0].base for part in sample)
+    np.testing.assert_array_equal(np.sort(np.concatenate(sample)), np.sort(lattice.flat[::2]))
+
+
+def test_criterion_11_gathers_one_block_at_a_time(monkeypatch):
+    # all 50k trajectories at once took about 28 MiB of temporaries
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = brownian.momentum_resolution_check(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(acceptance, "momentum_resolution_check", traced)
+    assert acceptance.criterion_11().passed
+    assert len(peaks) == 1 and peaks[0] < 2 * 2**20, peaks
 
 
 def test_criterion_4_holds_one_block_of_samples():

@@ -727,14 +727,9 @@ class TestCoarseVelocities:
 
     @pytest.mark.parametrize("estimator", ["coarse_velocities", "momentum_resolution_check"])
     def test_working_set_beyond_physical_memory_rejected(self, estimator):
-        # zero strides: coarse_velocities checks one block of trajectories,
-        # so its ensemble is one block at 10^7 stored times, 2.5e6 lattice
-        # times and 1.6e12 bytes; momentum_resolution_check takes every
-        # trajectory at once, 10^15 of them here
-        if estimator == "coarse_velocities":
-            shape = (brownian._BLOCK, 10**7, 1)
-        else:
-            shape = (10**15, 21, 1)
+        # zero strides: 10^15 trajectories, whose rows coarse_velocities
+        # tallies and whose picked windows momentum_resolution_check gathers
+        shape = (10**15, 21, 1)
         huge = np.broadcast_to(np.zeros(1), shape)
         ens = TrajectoryEnsemble(times=np.arange(shape[1]) * 1e-3, x=huge, p=huge, config=harmonic_config())
         tracemalloc.start()
@@ -750,21 +745,23 @@ class TestCoarseVelocities:
         assert peak < 2**20, peak
 
     def test_peak_per_block_within_memory_estimate(self):
-        # 21 stored times at epsilon = 2 steps: 11 lattice times
+        # the tally's block is one lattice row: 11 and 41 lattice times at
+        # epsilon = 2 steps take the same peak, 40 bytes per trajectory and
+        # a few kB of bins and results
         edges = np.linspace(-1.0, 1.0, 9)
-        ens = edge_case_ensemble(edges, n_trajectories=4 * brownian._BLOCK, n_times=21)
+        n_trajectories = 2**14
         peaks = []
-        for n_trajectories in (brownian._BLOCK, 4 * brownian._BLOCK):
-            part = dataclasses.replace(ens, x=ens.x[:n_trajectories])
+        for n_times in (21, 81):
+            ens = edge_case_ensemble(edges, n_trajectories=n_trajectories, n_times=n_times)
             tracemalloc.start()
             try:
-                coarse_velocities(part, 2e-3, edges, min_count=2)
+                coarse_velocities(ens, 2e-3, edges, min_count=2)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        one_block, four_blocks = peaks
-        assert abs(four_blocks - one_block) < 2**12, peaks
-        assert four_blocks <= 40 * brownian._BLOCK * 11, peaks
+        short, long = peaks
+        assert abs(long - short) < 2**12, peaks
+        assert long <= 40 * n_trajectories + 2**14, peaks
 
 
 def two_pass_velocities(ensemble, epsilon, bin_edges, min_count):
@@ -779,9 +776,10 @@ def two_pass_velocities(ensemble, epsilon, bin_edges, min_count):
     edges = np.asarray(bin_edges, dtype=float)
     n_bins = edges.size - 1
     result = []
+    # time-major: each bin adds its windows in time order, then trajectory order
     for anchors, firsts in ((starts, starts), (ends, ends - k)):
-        at = x[:, anchors].ravel()
-        vel = (x[:, firsts + k] - x[:, firsts]).ravel() / epsilon
+        at = x[:, anchors].T.ravel()
+        vel = (x[:, firsts + k] - x[:, firsts]).T.ravel() / epsilon
         idx = np.digitize(at, edges) - 1
         valid = (idx >= 0) & (idx < n_bins)
         idx, vel = idx[valid], vel[valid]
@@ -883,8 +881,8 @@ class TestReferenceFormulas:
         ids=lambda n: f"{n}-None",
     )
     def test_blocks(self, n_trajectories):
-        # less than one block, exactly one, and two and a part; then four
-        # whole blocks, and eight and a part
+        # rows of 17 trajectories up to eight blocks of 2^12 and a part, the
+        # sizes at which the estimator once switched blocks
         edges = np.linspace(-1.0, 1.0, 9)
         ens = edge_case_ensemble(edges, n_trajectories=n_trajectories)
         estimates = coarse_velocities(ens, 3e-3, edges, min_count=2)
@@ -1478,3 +1476,60 @@ class TestDrawOrder:
         np.testing.assert_array_equal(ens.x, np.stack(xs, axis=1))
         np.testing.assert_array_equal(ens.p, np.stack(ps, axis=1))
         np.testing.assert_array_equal(ens.times, np.arange(11) * dt)
+
+
+class TestStoredStates:
+    """The integrators collect the stream of ``stored_states``; its states
+    are buffers that each step overwrites."""
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_integrators_collect_the_stream(self, data):
+        n_particles = data.draw(st.integers(1, 3))
+        potential = data.draw(
+            st.sampled_from(
+                [
+                    Potential.free(),
+                    Potential.harmonic(2.0),
+                    Potential.harmonic(np.linspace(0.5, 2.0, n_particles)),
+                    Potential.polynomial([0.3, 0.0, 0.5, 0.0, 0.1]),
+                ]
+            )
+        )
+        underdamped = data.draw(st.booleans())
+        config = harmonic_config(
+            n_particles=n_particles,
+            temperatures=tuple(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n_particles, max_size=n_particles))),
+            potential=potential,
+            dt=1e-4,
+            t_end=data.draw(st.integers(1, 12)) * 1e-4,
+            n_trajectories=data.draw(st.integers(1, 20)),
+            seed=data.draw(st.integers(0, 2**64 - 1)),
+            store_every=data.draw(st.sampled_from([1, 3])),
+            x_init="stationary" if potential.kind == "harmonic" else 0.4,
+            p_init=data.draw(st.sampled_from(["stationary", -0.2])),
+        )
+        states = [
+            (t, x.copy(), None if p is None else p.copy())
+            for t, x, p in brownian.stored_states(config, underdamped)
+        ]
+        ens = (integrate_underdamped if underdamped else integrate_overdamped)(config)
+        assert ens.times.tobytes() == np.array([t for t, _, _ in states]).tobytes()
+        assert np.ascontiguousarray(ens.x).tobytes() == np.stack([x for _, x, _ in states], axis=1).tobytes()
+        if underdamped:
+            assert np.ascontiguousarray(ens.p).tobytes() == np.stack([p for _, _, p in states], axis=1).tobytes()
+        else:
+            assert ens.p is None
+
+    def test_tally_fed_from_the_stream(self):
+        # rows of the stream's own buffer give the bits of the stored ensemble
+        config = harmonic_config(n_trajectories=5000, t_end=0.03, store_every=1, seed=21)
+        edges = np.linspace(-2.0, 2.0, 9)
+        tally = brownian.VelocityTally(edges, 3e-3, config.n_trajectories)
+        for j, (_, x, _) in enumerate(brownian.stored_states(config, underdamped=False)):
+            if j % 3 == 0:
+                tally.add(x[:, 0])
+        expected = coarse_velocities(integrate_overdamped(config), 3e-3, edges)
+        for got, want in zip(tally.estimates(), expected):
+            for field in ("values", "std_errors", "counts"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field

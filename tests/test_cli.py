@@ -302,8 +302,8 @@ class TestVelocityField:
     )
     def test_epsilon_checked_before_integrating(self, tmp_path, monkeypatch, where, value):
         entered = []
-        integrate = brownian._euler_maruyama
-        monkeypatch.setattr(brownian, "_euler_maruyama", lambda *a, **k: entered.append(1) or integrate(*a, **k))
+        integrate = brownian.stored_states
+        monkeypatch.setattr(brownian, "stored_states", lambda *a, **k: entered.append(1) or integrate(*a, **k))
         params = copy.deepcopy(dict(VELOCITY, min_count=5))
         container = params
         for key in where[:-1]:
