@@ -514,13 +514,7 @@ def _binned_velocity(
     var = np.maximum(sq[ok] / counts[ok] - values[ok] ** 2, 0.0)
     errs[ok] = np.sqrt(var / counts[ok])
     centers = 0.5 * (edges[:-1] + edges[1:])
-    return VelocityFieldEstimate(
-        bin_centers=centers,
-        values=values,
-        std_errors=errs,
-        counts=counts,
-        epsilon=epsilon,
-    )
+    return VelocityFieldEstimate(bin_centers=centers, values=values, std_errors=errs, counts=counts, epsilon=epsilon)
 
 
 class VelocityTally:
@@ -535,30 +529,64 @@ class VelocityTally:
     of its end. Each bin's sums add its windows in time order, and within
     one window time in row order. The tally keeps the last row's positions
     and bins, so a row may be a buffer that its producer overwrites.
+
+    A position's bin is np.digitize's, by arithmetic: x guesses the bin
+    floor((x - e_0)/w + 1/2), w the mean bin width, and steps up one at the
+    guessed bin's upper edge. The guess is monotone in x, so if this is exact
+    at each edge and the float below it, it is for every x; else np.digitize.
     """
 
     def __init__(self, bin_edges, epsilon: float, n_trajectories: int):
         # 40 bytes per trajectory: the last row's positions and bins, the new
         # row's bins, and the displacements and their squares
         check_memory(40 * n_trajectories, "the velocity estimator's working set")
-        self.edges = np.asarray(bin_edges, dtype=float)
+        self.edges = e = np.asarray(bin_edges, dtype=float)
+        if e.ndim != 1 or e.size < 2 or not np.isfinite(e).all() or (e[1:] < e[:-1]).any():
+            raise ValidationError("bin edges must be at least two finite numbers in non-decreasing order")
         self.epsilon = epsilon
         # per direction, v_plus then v_minus, and per bin of np.digitize (its 0
         # below the edges and n_bins + 1 at or above the last, or nan, are
         # dropped): the windows, and the sums of their steps and squares
-        self.counts = np.zeros((2, self.edges.size + 1), dtype=np.intp)
-        self.sums = np.zeros((2, self.edges.size + 1))
+        self.counts = np.zeros((2, e.size + 1), dtype=np.intp)
+        self.sums = np.zeros((2, e.size + 1))
         self.sq = np.zeros_like(self.sums)
         self._last = np.empty(n_trajectories)
         self._last_bins = None
+        # each bin's upper edge, and nan for the last bin, which no x reaches
+        self._upper = np.append(e, np.nan)
+        with np.errstate(all="ignore"):
+            width = (e[-1] - e[0]) / (e.size - 1)
+            self._origin, self._scale = e[0] - width / 2, 1 / width
+        probe = np.concatenate([e, np.nextafter(e, -np.inf)])
+        buffers = np.empty(probe.size), np.empty(probe.size, dtype=bool)
+        scaled = np.isfinite(self._origin) and 0 < self._scale < np.inf
+        if not (scaled and (self._bins(probe, *buffers) == np.digitize(probe, e)).all()):
+            self._scale = None
+
+    def _bins(self, row: np.ndarray, work: np.ndarray, up: np.ndarray) -> np.ndarray:
+        """np.digitize(row, self.edges), in a float and a bool buffer of the row's size."""
+        if self._scale is None:
+            return np.digitize(row, self.edges)
+        with np.errstate(over="ignore"):
+            np.subtract(row, self._origin, out=work)
+            work *= self._scale
+        np.fmax(np.fmin(work, self.edges.size, out=work), 0.0, out=work)
+        bins = work.astype(np.intp)
+        # in place: take's default mode and a bool-to-intp ufunc would go through buffers
+        np.greater_equal(row, np.take(self._upper, bins, out=work, mode="clip"), out=up)
+        np.copyto(work.view(np.intp), up)
+        bins += work.view(np.intp)
+        return bins
 
     def add(self, row: np.ndarray) -> None:
         """Take the positions at the next lattice time: the windows that end there."""
-        bins = np.digitize(row, self.edges)
+        # the bin lookup works in the buffers of the steps and their squares
+        steps, steps_sq = np.empty((2, row.size))
+        bins = self._bins(row, steps, steps_sq.view(bool)[: row.size])
         if self._last_bins is not None:
-            steps = row - self._last
+            np.subtract(row, self._last, out=steps)
             steps /= self.epsilon
-            steps_sq = steps * steps
+            np.multiply(steps, steps, out=steps_sq)
             # add.at adds in input order, as bincount does
             for d, at in enumerate((self._last_bins, bins)):
                 self.counts[d] += np.bincount(at, minlength=self.edges.size + 1)

@@ -916,6 +916,110 @@ class TestReferenceFormulas:
             assert got == four_gather_momentum_check(free_underdamped, epsilon, p_center)
 
 
+HALF_MAX = np.finfo(float).max / 2
+
+
+def lookup_bins(tally, x):
+    """The tally's bins of the positions x, as ``add`` finds them."""
+    return tally._bins(x, np.empty(x.size), np.empty(x.size, dtype=bool))
+
+
+def linspace_edges():
+    """np.linspace edges as velocity-field builds them: bin_min < bin_max
+    within half the largest float, from a few subnormals apart up to the
+    whole admitted span. A few subnormals apart, linspace may repeat edges
+    or put one below the last."""
+    cli_range = st.tuples(st.floats(-HALF_MAX, HALF_MAX), st.floats(-HALF_MAX, HALF_MAX)).filter(lambda r: r[0] < r[1])
+    subnormal = st.tuples(st.sampled_from([0.0, -2e-322, 1e-310]), st.integers(1, 40)).map(
+        lambda r: (r[0], r[0] + r[1] * 5e-324)
+    )
+    return st.tuples(cli_range | subnormal, st.integers(1, 60)).map(lambda r: np.linspace(*r[0], r[1] + 1))
+
+
+def arange_edges():
+    """Edges built as np.arange(start, stop, step), as criterion 9's are."""
+    return st.tuples(st.floats(-10.0, 10.0), st.floats(1e-3, 1.0), st.integers(2, 60)).map(
+        lambda r: np.arange(r[0], r[0] + (r[2] - 0.5) * r[1], r[1])
+    )
+
+
+def other_edges():
+    """Non-uniform edges, some with repeated values, and single bins."""
+    values = st.floats(-1e300, 1e300) | st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1.0, 5e-324])
+    return st.lists(values, min_size=2, max_size=12).map(lambda v: np.array(sorted(v + v[: len(v) // 3])))
+
+
+class TestBinLookup:
+    """``VelocityTally`` finds np.digitize's bins by arithmetic, and falls back
+    to np.digitize itself only on edges where the arithmetic could miss."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[1.0, 0.0, -1.0], [0.0, 1.0, 0.5], [0.0, np.nan, 1.0], [0.0, np.inf], [0.5], [], [[0.0, 1.0], [2.0, 3.0]]],
+        ids=["decreasing", "unsorted", "nan", "infinite", "one-edge", "empty", "2-D"],
+    )
+    def test_bad_edges_rejected(self, edges):
+        with pytest.raises(ValidationError, match="bin edges"):
+            brownian.VelocityTally(edges, 1e-2, 10)
+
+    def test_repeated_edges_accepted(self):
+        x = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, np.nan])
+        tally = brownian.VelocityTally([0.0, 1.0, 1.0, 2.0], 1e-2, x.size)
+        np.testing.assert_array_equal(lookup_bins(tally, x), [0, 1, 1, 3, 3, 4, 4])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_bins_are_digitize(self, data):
+        edges = data.draw(linspace_edges() | arange_edges() | other_edges())
+        if (np.diff(edges) < 0).any():
+            with pytest.raises(ValidationError, match="non-decreasing"):
+                brownian.VelocityTally(edges, 1e-2, 1)
+            return
+        inside = st.floats(edges[0], edges[-1])
+        anywhere = st.floats(allow_nan=True, allow_infinity=True)
+        x = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [np.nan, np.inf, -np.inf, 0.0, -0.0, HALF_MAX * 2, -HALF_MAX * 2, edges[0] - 1.0, edges[-1] + 1.0],
+                data.draw(st.lists(inside, max_size=40)),
+                data.draw(st.lists(anywhere, max_size=10)),
+            ]
+        )
+        got = lookup_bins(brownian.VelocityTally(edges, 1e-2, x.size), x)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, np.digitize(x, edges))
+
+    def test_production_edges_never_reach_digitize(self, monkeypatch):
+        # velocity-field's linspace over ranges and bin counts like its
+        # configs', criterion 9's arange and criterion 10's pair: no position
+        # goes to np.digitize (the tally's check of its edges does)
+        from bildsim import acceptance
+
+        edge_sets = [edges for _, edges in acceptance._BENCH_BINS]
+        for lo, hi in ((-2.0, 2.0), (-2.05, 2.05), (-1.0, 1.0), (0.0, 3.0), (-10.0, 10.0), (0.5, 1.5)):
+            edge_sets += [np.linspace(lo, hi, n_bins + 1) for n_bins in range(1, 201)]
+        x = np.random.default_rng(29).normal(0.0, 2.0, 1000)
+        positions_seen = []
+        digitize = np.digitize
+
+        def spy(values, edges, **kw):
+            positions_seen.append(np.shares_memory(values, x))
+            return digitize(values, edges, **kw)
+
+        monkeypatch.setattr(np, "digitize", spy)
+        for edges in edge_sets:
+            tally = brownian.VelocityTally(edges, 1e-2, x.size)
+            tally.add(x)
+            tally.add(x[::-1])
+        assert not any(positions_seen)
+        # edges far from uniform do send the positions there
+        brownian.VelocityTally([0.0, 0.001, 1.0], 1e-2, x.size).add(x)
+        assert positions_seen[-1]
+
+
 class TestStoreEvery:
     """An ensemble stored every s steps gives the estimators the bits of the
     same run stored every step, for epsilon a multiple of s dt: the draws do

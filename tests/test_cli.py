@@ -567,6 +567,21 @@ class TestResourceAndBlowUpErrors:
         rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
         assert "params.bin_min" in assert_one_error_line(rc, lines, 2)
 
+    def test_subnormal_bin_ranges(self, tmp_path):
+        # a few subnormals apart, np.linspace repeats edges, which bin as
+        # np.digitize bins them, or puts one below the last, which exits 2
+        # (before, np.digitize raised a bare ValueError out of the CLI)
+        repeated = {"command": "velocity-field", "params": dict(VELOCITY, bin_min=0.0, bin_max=1e-323), "seed": 1}
+        rc, lines = run_main(["--config", write_config(tmp_path, repeated), "--out", str(tmp_path / "a")])
+        assert (rc, lines) == (0, [])
+        assert len(read_csv(tmp_path / "a" / "velocity_field.csv")) == 4
+        unsorted = {"command": "velocity-field", "params": dict(VELOCITY, bin_min=0.0, bin_max=1.5e-323, n_bins=5)}
+        rc, lines = run_main(["--config", write_config(tmp_path, unsorted), "--out", str(tmp_path / "b")])
+        assert "non-decreasing" in assert_one_error_line(rc, lines, 2)
+        assert not (tmp_path / "b").exists()
+
+    # the run's overflow warnings are the CLI's to record, not errors
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_overflowing_momenta_exit_3(self, tmp_path):
         # the momenta overflow after the check at step 0 and before the one at
         # step 200; every stored state is checked once the run ends
@@ -897,6 +912,9 @@ def test_mutated_config_exits_cleanly(command, data):
 EXTREMES = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e-300, 5e-324, 2**63, 2**64 + 1, -0.0]
 
 
+# the CLI records the RuntimeWarnings of a run at these extremes (overflow,
+# invalid values) into its output; as errors they would escape it instead
+@pytest.mark.filterwarnings("default::RuntimeWarning")
 @pytest.mark.parametrize("value", EXTREMES, ids=repr)
 @pytest.mark.parametrize("command", sorted(FUZZ_SEEDS))
 def test_extreme_number_at_every_leaf_exits_cleanly(command, value):
