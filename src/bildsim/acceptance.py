@@ -19,6 +19,7 @@ from .brownian import (
     LangevinConfig,
     Potential,
     VelocityTally,
+    _schedule,
     epsilon_steps,
     integrate_overdamped,
     integrate_underdamped,
@@ -236,14 +237,14 @@ def _stream_bench() -> tuple:
     epsilon. Each stored position row feeds the velocity tallies whose
     lattice it is on. On criterion 9's lattice j = 0, 1, ..., 30 the
     positions of trajectories i with i + j even go into the KDE sample: of
-    the (i, j) lattice, .flat[::2], 1.86M of 3.72M positions, held as the
-    rows of one array. The run stores every 2nd step: the epsilons are 4, 6, 8 and 10
-    steps."""
+    the (i, j) lattice, .flat[::2], 1.86M of 3.72M positions, one row of
+    the sample array per lattice time. The run stores every 2nd step: the
+    epsilons are 4, 6, 8 and 10 steps."""
     config = _langevin(t_end=0.12, n_trajectories=120_000, seed=7878, store_every=2)
     n = config.n_trajectories
     tallies = [VelocityTally(edges, eps, n) for eps, edges in _BENCH_BINS]
     steps = [epsilon_steps(config, eps) for eps, _ in _BENCH_BINS]
-    n_stored = round(config.t_end / config.dt) // config.store_every + 1
+    _, n_stored = _schedule(config)
     # n is even, so that every row holds n / 2 positions
     sample = np.empty((len(range(0, n_stored, steps[0])), n // 2))
     for slot, (_, x, _) in enumerate(stored_states(config, underdamped=False)):
@@ -254,7 +255,7 @@ def _stream_bench() -> tuple:
             j = slot // steps[0]
             sample[j] = x[j % 2 :: 2, 0]
     estimates = [tally.estimates() for tally in tallies]
-    return estimates[0], tuple(sample), estimates[1:]
+    return estimates[0], sample, estimates[1:]
 
 
 def criterion_9(bench: tuple) -> CriterionResult:

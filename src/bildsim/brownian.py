@@ -642,17 +642,6 @@ def osmotic_velocity(
     )
 
 
-def nonsmoothness_witness(ensemble: TrajectoryEnsemble, epsilons, bin_center: float) -> list[dict]:
-    """Gap |v_plus - v_minus| in the bin bin_center +- 0.05 for a sweep of
-    time increments: one ``velocity_gap`` row per epsilon.
-
-    For non-smooth diffusive trajectories the gap stays bounded away from
-    zero as epsilon shrinks toward the resolution limit.
-    """
-    edges = np.array([bin_center - 0.05, bin_center + 0.05])
-    return [velocity_gap(*coarse_velocities(ensemble, eps, edges)) for eps in epsilons]
-
-
 def velocity_gap(v_plus: VelocityFieldEstimate, v_minus: VelocityFieldEstimate) -> dict:
     """The witness row of the first bin of (v_plus, v_minus): epsilon, both
     velocities, their gap and its standard error."""
@@ -725,31 +714,19 @@ def momentum_resolution_check(
     )
 
 
-def _parts(samples) -> tuple:
-    """A sample set as a tuple of arrays: the parts of a tuple, or the one array."""
-    return tuple(map(np.asarray, samples)) if isinstance(samples, tuple) else (np.asarray(samples),)
-
-
-def _sample_blocks(samples):
-    """The samples, an array or a tuple of arrays read as one set, as 1-D
-    float64 blocks of at most _KDE_BLOCK: part after part, and in memory
-    order within a part. A part that one stride walks, such as an
-    ensemble's (trajectory, time) view of one particle, is read in place; a
-    cast, or a layout no single stride walks, is copied a block at a time
-    into the iterator's buffer, so a block is valid only until the next is
-    drawn."""
-    for part in _parts(samples):
-        yield from np.nditer(
-            part,
-            flags=["external_loop", "buffered", "zerosize_ok"],
-            op_dtypes=[np.float64],
-            order="K",
-            buffersize=_KDE_BLOCK,
-        )
-
-
-def _sample_count(samples) -> int:
-    return sum(part.size for part in _parts(samples))
+def _sample_blocks(samples: np.ndarray):
+    """The samples as 1-D float64 blocks of at most _KDE_BLOCK, in memory
+    order. An array that one stride walks, such as an ensemble's
+    (trajectory, time) view of one particle, is read in place; a cast, or a
+    layout no single stride walks, is copied a block at a time into the
+    iterator's buffer, so a block is valid only until the next is drawn."""
+    return np.nditer(
+        samples,
+        flags=["external_loop", "buffered", "zerosize_ok"],
+        op_dtypes=[np.float64],
+        order="K",
+        buffersize=_KDE_BLOCK,
+    )
 
 
 def _rank_bins(block: np.ndarray, lo: float, scale: float, work: np.ndarray, bins: np.ndarray) -> np.ndarray:
@@ -776,7 +753,7 @@ def _order_statistics(samples, ranks: np.ndarray, lo: float, scale: float) -> np
     smooth density, and at most all of them when most samples share one bin
     (a far outlier), which is the copy np.percentile makes.
     """
-    work = np.empty(min(_sample_count(samples), _KDE_BLOCK))
+    work = np.empty(min(samples.size, _KDE_BLOCK))
     bins = np.empty(work.size, dtype=np.intp)
     counts = np.zeros(_RANK_BINS + 1, dtype=np.intp)
     for block in _sample_blocks(samples):
@@ -796,16 +773,14 @@ def _order_statistics(samples, ranks: np.ndarray, lo: float, scale: float) -> np
 def _percentiles(samples, q: list, lo: float, hi: float) -> np.ndarray:
     """``np.percentile(samples, q)`` with numpy's linear method, bit for bit,
     from exact order statistics instead of a partitioned copy of the
-    samples, an array or a tuple of arrays read as one set; ``lo`` and
-    ``hi`` are their min and max. Samples that are nan or infinite, or a
-    range too narrow to bin, go to np.percentile itself, the parts of a
-    tuple joined."""
+    samples; ``lo`` and ``hi`` are their min and max. Samples that are nan
+    or infinite, or a range too narrow to bin, go to np.percentile itself."""
     # bins per unit of v/2, for _rank_bins over [lo, hi]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = _RANK_BINS / (0.5 * hi - 0.5 * lo)
     if not (np.isfinite(lo) and np.isfinite(hi) and (lo == hi or np.isfinite(scale))):
-        return np.percentile(np.concatenate([p.ravel() for p in _parts(samples)]), q)
-    n = _sample_count(samples)
+        return np.percentile(samples, q)
+    n = samples.size
     # numpy's quantile steps: the virtual indexes, their gamma and the lerp
     virtual = (n - 1) * np.true_divide(q, 100)
     prev = np.floor(virtual)
@@ -827,7 +802,7 @@ def _percentiles(samples, q: list, lo: float, hi: float) -> np.ndarray:
 
 def _silverman(samples) -> tuple:
     """Silverman's bandwidth of the samples, and their min and max."""
-    n = _sample_count(samples)
+    n = samples.size
     total, lo, hi = 0.0, np.inf, -np.inf
     for block in _sample_blocks(samples):
         total += np.add.reduce(block)
@@ -851,20 +826,19 @@ def _silverman(samples) -> tuple:
     return 0.9 * a * n ** (-0.2), lo, hi
 
 
-def _check_samples(samples) -> tuple:
-    parts = _parts(samples)
-    if _sample_count(parts) == 0:
+def _check_samples(samples) -> np.ndarray:
+    s = np.asarray(samples)
+    if s.size == 0:
         raise ValidationError("the density estimate needs at least one sample")
-    return parts
+    return s
 
 
 def silverman_bandwidth(samples) -> float:
     """Silverman's rule 0.9 min(std, IQR / 1.34) n^(-1/5) in double precision.
 
-    The samples, an array of any shape or a tuple of such arrays read as
-    one set, are read in place, part after part, in memory order and in
-    blocks of at most 2^16 (``_sample_blocks``); neither a ravel nor a join
-    nor np.std's deviations nor np.percentile's copy is made. The quartiles
+    The samples, an array of any shape, are read in place, in memory order
+    and in blocks of at most 2^16 (``_sample_blocks``); neither a ravel nor
+    np.std's deviations nor np.percentile's copy is made. The quartiles
     are exact order statistics, ``np.percentile(.., [75, 25])`` of all the
     samples bit for bit. std is np.std's two-pass value up to rounding: each
     block is summed as np.std sums, and the block sums are added in turn, so
@@ -876,11 +850,9 @@ def silverman_bandwidth(samples) -> float:
 def log_density_gradient(samples, points: np.ndarray, bandwidth: float | None = None) -> np.ndarray:
     """d/dx log of a Gaussian-kernel density estimate, at the given points.
 
-    The samples are an array of any shape, or a tuple of such arrays read
-    as one set, part after part. Each is read in place in memory order, in
-    blocks of 2^16: a time-major ensemble's (trajectory, time) view, one
-    particle's view of a multi-particle ensemble, and strided views that
-    together pick a subset of the stored positions are never copied. The
+    The samples are an array of any shape, read in place in memory order,
+    in blocks of 2^16: a time-major ensemble's (trajectory, time) view and
+    one particle's view of a multi-particle ensemble are never copied. The
     bandwidth h defaults to Silverman's rule. The samples are
     binned linearly (Wand 1994) onto a uniform grid of spacing delta = h/256
     that spans [max(min s, min p - 40h), min(max s, max p + 40h)], block by
@@ -900,8 +872,7 @@ def log_density_gradient(samples, points: np.ndarray, bandwidth: float | None = 
     if bandwidth is None:
         h, s_min, s_max = _silverman(s)
     else:
-        # np.min and np.max of the parts' extremes pass a nan through
-        h, s_min, s_max = bandwidth, np.min([p.min() for p in s if p.size]), np.max([p.max() for p in s if p.size])
+        h, s_min, s_max = bandwidth, s.min(), s.max()
     if not h > 0 or np.isnan(s_min):
         return np.full(pts.size, np.nan)
     reach = _KDE_REACH * h

@@ -547,8 +547,10 @@ def main(argv=None) -> int:
         flags = {"seed": args.seed, "paper_units": args.paper_units}
         if isinstance(config, dict):
             config = dict(config, **{key: value for key, value in flags.items() if value is not None})
-        # held back, so that a failed run's stderr is one JSON object
+        # held back, so that a failed run's stderr is one JSON object; "always"
+        # records them whatever the caller's filters, an error filter included
         with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             run_experiment(config, args.out, threads=args.threads)
     except BildsimError as exc:
         code = 2 if isinstance(exc, ValidationError) else 3
@@ -558,7 +560,9 @@ def main(argv=None) -> int:
             record["warnings"] = list(dict.fromkeys(seen))
         sys.stderr.write(json.dumps(record) + "\n")
         return code
-    for w in caught:
+    # each warning once per place that raised it, as the default action shows it
+    shown = {(w.category, str(w.message), w.filename, w.lineno): w for w in caught}
+    for w in shown.values():
         warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     return 0
 

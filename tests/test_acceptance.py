@@ -44,7 +44,7 @@ def test_shared_ensemble_lives_only_through_criteria_9_and_10(monkeypatch, numbe
                 assert not streams
             elif number in (9, 10):
                 (_, sample, _), = bench
-                samples.append(weakref.ref(sample[0].base))
+                samples.append(weakref.ref(sample))
             else:
                 assert all(ref() is None for ref in samples)
             return acceptance._result(number, "stub", True, "")
@@ -74,9 +74,33 @@ def test_criterion_9_sample_is_every_other_lattice_position(monkeypatch):
     _, sample, _ = acceptance._stream_bench()
     # criterion 9's (trajectory i, lattice time j) positions at epsilon = 2 stored steps
     lattice = np.stack([x[:, 0] for x in stored[::2]], axis=1)
-    assert len(sample) == 31 and {part.shape for part in sample} == {(60_000,)}
-    assert all(part.base is sample[0].base for part in sample)
-    np.testing.assert_array_equal(np.sort(np.concatenate(sample)), np.sort(lattice.flat[::2]))
+    assert sample.shape == (31, 60_000) and sample.flags.c_contiguous
+    np.testing.assert_array_equal(np.sort(sample, axis=None), np.sort(lattice.flat[::2]))
+
+
+def test_criterion_9_reads_the_bench_sample_itself(monkeypatch):
+    # the density estimate gets the array the bench filled, not a copy, a
+    # view or a tuple of its rows; the spy stops criterion 9 there
+    seen = []
+
+    class Seen(Exception):
+        pass
+
+    def stream(config, underdamped):
+        return brownian.stored_states(dataclasses.replace(config, t_end=8e-3), underdamped)
+
+    def log_density_gradient(samples, points, bandwidth=None):
+        seen.append(samples)
+        raise Seen
+
+    monkeypatch.setattr(acceptance, "stored_states", stream)
+    monkeypatch.setattr(acceptance, "log_density_gradient", log_density_gradient)
+    bench = acceptance._stream_bench()
+    sample = bench[1]
+    with pytest.raises(Seen):
+        acceptance.criterion_9(bench)
+    assert len(seen) == 1 and seen[0] is sample
+    assert isinstance(sample, np.ndarray) and sample.flags.owndata and sample.shape == (31, 60_000)
 
 
 def test_criterion_11_gathers_one_block_at_a_time(monkeypatch):

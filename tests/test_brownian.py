@@ -23,10 +23,10 @@ from bildsim.brownian import (
     integrate_underdamped,
     log_density_gradient,
     momentum_resolution_check,
-    nonsmoothness_witness,
     osmotic_velocity,
     silverman_bandwidth,
     timescale_report,
+    velocity_gap,
 )
 from bildsim.errors import NumericalError, RegimeError, ValidationError
 
@@ -594,10 +594,6 @@ class TestStorageLayout:
         for va, vb in zip(a, b):
             for field in ("values", "std_errors", "counts"):
                 np.testing.assert_array_equal(getattr(va, field), getattr(vb, field))
-
-    def test_nonsmoothness_witness(self, layouts):
-        a, b = (nonsmoothness_witness(ens, [5e-3, 1e-2, 2e-2], 0.3) for ens in layouts)
-        assert a == b
 
     def test_momentum_resolution_check(self, layouts):
         a, b = (momentum_resolution_check(ens, 1e-2, p_center=0.5) for ens in layouts)
@@ -1376,74 +1372,15 @@ class TestOrderStatistics:
             assert got.tobytes() == np.percentile(s, [0.5, 25, 75, 99.5]).tobytes(), (lo, hi)
 
 
-class TestTupleSamples:
-    """A tuple of arrays is one sample set, read in place part after part:
-    here the positions (i, j) with i + j even of a time-major lattice, as
-    two strided views of different shapes."""
-
-    @staticmethod
-    def checkerboard(rows, seed):
-        lattice = time_major(np.random.default_rng(seed).standard_normal((rows, 31)))
-        parts = (lattice[0::2, 0::2], lattice[1::2, 1::2])
-        return parts, np.concatenate([p.ravel() for p in parts])
-
-    @pytest.mark.parametrize("rows", [5, 2**12 + 3, 20_000])
-    def test_same_as_the_joined_samples(self, rows):
-        parts, joined = self.checkerboard(rows, rows)
-        q = [0.5, 25, 75, 99.5]
-        got = brownian._percentiles(parts, q, joined.min(), joined.max())
-        assert got.tobytes() == np.percentile(joined, q).tobytes()
-        assert silverman_bandwidth(parts) == pytest.approx(silverman_bandwidth(joined), rel=1e-14, abs=0.0)
-        points = np.linspace(-2.0, 2.0, 17)
-        for bandwidth in (None, 0.1):
-            want = log_density_gradient(joined, points, bandwidth)
-            got = log_density_gradient(parts, points, bandwidth)
-            # relative to the terms of the gradient's sum, as for a time-major view
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
-
-    def test_one_part_is_the_array(self):
-        s = time_major(np.random.default_rng(20).standard_normal((3000, 31)))
-        points = np.linspace(-2.0, 2.0, 17)
-        for bandwidth in (None, 0.1):
-            got = log_density_gradient((s,), points, bandwidth)
-            assert got.tobytes() == log_density_gradient(s, points, bandwidth).tobytes()
-
-    def test_empty_and_non_finite_parts(self):
-        parts, joined = self.checkerboard(101, 21)
-        points = np.linspace(-2.0, 2.0, 5)
-        with_empty = (np.empty((0, 3)),) + parts + (np.empty(0),)
-        for bandwidth in (None, 0.1):
-            got = log_density_gradient(with_empty, points, bandwidth)
-            assert got.tobytes() == log_density_gradient(parts, points, bandwidth).tobytes()
-        with pytest.raises(ValidationError, match="at least one sample"):
-            log_density_gradient((np.empty(0), np.empty((2, 0))), points)
-        bad = (parts[0], np.where(parts[1] > 1.0, np.nan, parts[1]))
-        with np.errstate(invalid="ignore"):
-            for bandwidth in (None, 0.1):
-                assert np.isnan(log_density_gradient(bad, points, bandwidth)).all()
-            assert np.isnan(brownian._percentiles(bad, [25, 75], np.nan, np.nan)).all()
-
-    def test_two_views_are_read_in_place(self):
-        # 2.03M of the 4.06M positions of a time-major array; a join of the
-        # two views would take 15.5 MiB. What remains is one block's
-        # buffers and temporaries, about 3 MiB at 2^16 samples.
-        parts, _ = self.checkerboard(2**17, 22)
-        for bandwidth in (None, 0.05):
-            tracemalloc.start()
-            try:
-                log_density_gradient(parts, np.linspace(-2.0, 2.0, 41), bandwidth)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 5 * 2**20, (peak, bandwidth)
-
-
 class TestNonsmoothness:
+    @staticmethod
+    def gap(ensemble, epsilon, bin_center):
+        edges = np.array([bin_center - 0.05, bin_center + 0.05])
+        return velocity_gap(*coarse_velocities(ensemble, epsilon, edges))
+
     def test_gap_persists_for_diffusive_paths(self, stationary_ensemble):
-        rows = nonsmoothness_witness(
-            stationary_ensemble, [4e-3, 8e-3], bin_center=1.0
-        )
-        for row in rows:
+        for eps in (4e-3, 8e-3):
+            row = self.gap(stationary_ensemble, eps, bin_center=1.0)
             assert row["gap"] == pytest.approx(2.0, abs=5 * row["gap_err"] + 0.05)
 
     def test_deterministic_gap_vanishes(self):
@@ -1457,8 +1394,7 @@ class TestNonsmoothness:
         )
         ens = integrate_overdamped(config)
         # every windowed sample lies in [0.980, 1.0], inside the bin 0.99 +- 0.05
-        rows = nonsmoothness_witness(ens, [4e-3], bin_center=0.99)
-        assert rows[0]["gap"] <= 2.0 * 4e-3
+        assert self.gap(ens, 4e-3, bin_center=0.99)["gap"] <= 2.0 * 4e-3
 
 
 @pytest.fixture(scope="module")

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -580,8 +581,6 @@ class TestResourceAndBlowUpErrors:
         assert "non-decreasing" in assert_one_error_line(rc, lines, 2)
         assert not (tmp_path / "b").exists()
 
-    # the run's overflow warnings are the CLI's to record, not errors
-    @pytest.mark.filterwarnings("default::RuntimeWarning")
     def test_overflowing_momenta_exit_3(self, tmp_path):
         # the momenta overflow after the check at step 0 and before the one at
         # step 200; every stored state is checked once the run ends
@@ -618,7 +617,8 @@ class TestResourceAndBlowUpErrors:
 
     def test_blow_up_warnings_go_inside_the_json_line(self, tmp_path):
         # a child interpreter: pytest captures warnings, so only a real
-        # process shows what reaches stderr
+        # process shows what reaches stderr; an error filter must not turn
+        # the run's overflow warnings into a traceback
         # dt under the quartic's step bound of 1e-3 tau_x = 3.65e-4: from x = 100,
         # x' = x - 4 x^3 dt still overflows within a few steps
         quartic = {"kind": "polynomial", "coefficients": [0, 0, 0, 0, 1]}
@@ -627,12 +627,27 @@ class TestResourceAndBlowUpErrors:
         env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         argv = ["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
-        proc = subprocess.run(
-            [sys.executable, "-m", "bildsim.cli", *argv], capture_output=True, text=True, env=env, timeout=120
-        )
-        lines = proc.stderr.splitlines()
-        assert "blew up" in assert_one_error_line(proc.returncode, lines, 3)
-        assert any("overflow" in w for w in json.loads(lines[0])["warnings"])
+        for flags in ([], ["-W", "error::RuntimeWarning"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "bildsim.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+            )
+            lines = proc.stderr.splitlines()
+            assert "blew up" in assert_one_error_line(proc.returncode, lines, 3), flags
+            assert any("overflow" in w for w in json.loads(lines[0])["warnings"]), flags
+            assert not (tmp_path / "o").exists(), flags
+
+    def test_warnings_of_a_run_that_succeeds_are_shown_once_per_place(self, monkeypatch, tmp_path):
+        # under Tier-1's error filter; the default action would show the same
+        def run(config, out_dir, threads):
+            for _ in range(3):
+                warnings.warn("repeated", RuntimeWarning)
+            warnings.warn("other", RuntimeWarning)
+
+        shown = []
+        monkeypatch.setattr(cli, "run_experiment", run)
+        monkeypatch.setattr(warnings, "showwarning", lambda message, *args, **kwargs: shown.append(str(message)))
+        assert run_main(["--config", write_config(tmp_path, {})]) == (0, [])
+        assert shown == ["repeated", "other"]
 
 
 class TestTrajectoryFile:
@@ -912,9 +927,6 @@ def test_mutated_config_exits_cleanly(command, data):
 EXTREMES = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 1e-300, 5e-324, 2**63, 2**64 + 1, -0.0]
 
 
-# the CLI records the RuntimeWarnings of a run at these extremes (overflow,
-# invalid values) into its output; as errors they would escape it instead
-@pytest.mark.filterwarnings("default::RuntimeWarning")
 @pytest.mark.parametrize("value", EXTREMES, ids=repr)
 @pytest.mark.parametrize("command", sorted(FUZZ_SEEDS))
 def test_extreme_number_at_every_leaf_exits_cleanly(command, value):
