@@ -523,82 +523,116 @@ class VelocityTally:
     after another: ``add`` takes each such row of all trajectories in turn.
 
     v_plus is the mean of (x(t+eps) - x(t))/eps given x(t) in each bin,
-    v_minus the mean of (x(t) - x(t-eps))/eps given x(t). Each row is looked
-    up in the bins once, and each window's displacement is computed once: it
-    serves v_plus through the bin of its start and v_minus through the bin
-    of its end. Each bin's sums add its windows in time order, and within
-    one window time in row order. The tally keeps the last row's positions
-    and bins, so a row may be a buffer that its producer overwrites.
+    v_minus the mean of (x(t) - x(t-eps))/eps given x(t). Only positions
+    inside the edges, e_0 <= x < e_last, fall in a bin; the others, nan
+    among them, are dropped before the lookup. A row is taken in quarters of
+    its trajectories, in increasing order. The windows that end at a
+    chunk's positions in a bin (v_minus) are tallied when the row arrives,
+    and those that start there (v_plus) at the next ``add``, which looks
+    those positions up again rather than hold their bins. A row's count per
+    bin is taken once: in each bin, as many windows start at a row as end
+    there. A window's displacement is computed only where it is tallied.
+    Each bin's sums add its windows in time order, and within one window in
+    trajectory order. The tally keeps the last row's positions, so a row may
+    be a buffer that its producer overwrites.
 
-    A position's bin is np.digitize's, by arithmetic: x guesses the bin
-    floor((x - e_0)/w + 1/2), w the mean bin width, and steps up one at the
-    guessed bin's upper edge. The guess is monotone in x, so if this is exact
-    at each edge and the float below it, it is for every x; else np.digitize.
+    A position's bin is np.digitize's, less one, by arithmetic: x guesses the
+    bin (x - e_0)/w - 1/2 truncated to an integer, w the mean bin width, and
+    steps up one at the guessed bin's upper edge. The guess is monotone in x,
+    so if this is exact at each edge and the float below it inside the
+    edges, it is for every x there; else np.digitize.
     """
 
     def __init__(self, bin_edges, epsilon: float, n_trajectories: int):
-        # 40 bytes per trajectory: the last row's positions and bins, the new
-        # row's bins, and the displacements and their squares
-        check_memory(40 * n_trajectories, "the velocity estimator's working set")
+        # a row is taken in quarters. 20 bytes per trajectory: the last row's
+        # positions, 8, and a quarter of 48, a chunk's lookups and windows
+        self._chunk = max(1, -(-n_trajectories // 4))
+        check_memory(20 * n_trajectories, "the velocity estimator's working set")
         self.edges = e = np.asarray(bin_edges, dtype=float)
         if e.ndim != 1 or e.size < 2 or not np.isfinite(e).all() or (e[1:] < e[:-1]).any():
             raise ValidationError("bin edges must be at least two finite numbers in non-decreasing order")
         self.epsilon = epsilon
-        # per direction, v_plus then v_minus, and per bin of np.digitize (its 0
-        # below the edges and n_bins + 1 at or above the last, or nan, are
-        # dropped): the windows, and the sums of their steps and squares
-        self.counts = np.zeros((2, e.size + 1), dtype=np.intp)
-        self.sums = np.zeros((2, e.size + 1))
+        # per direction, v_plus then v_minus, and per bin: the windows, and
+        # the sums of their steps and squares
+        self.counts = np.zeros((2, e.size - 1), dtype=np.intp)
+        self.sums = np.zeros((2, e.size - 1))
         self.sq = np.zeros_like(self.sums)
         self._last = np.empty(n_trajectories)
-        self._last_bins = None
-        # each bin's upper edge, and nan for the last bin, which no x reaches
-        self._upper = np.append(e, np.nan)
+        # per bin, the windows that start at the last row
+        self._starts = None
+        self._upper = e[1:]
         with np.errstate(all="ignore"):
             width = (e[-1] - e[0]) / (e.size - 1)
-            self._origin, self._scale = e[0] - width / 2, 1 / width
+            self._origin, self._scale = e[0] + width / 2, 1 / width
+            # no (x - origin) * scale of a position in a bin exceeds e_last's
+            scaled = np.isfinite((e[-1] - self._origin) * self._scale) and 0 < self._scale
         probe = np.concatenate([e, np.nextafter(e, -np.inf)])
-        buffers = np.empty(probe.size), np.empty(probe.size, dtype=bool)
-        scaled = np.isfinite(self._origin) and 0 < self._scale < np.inf
-        if not (scaled and (self._bins(probe, *buffers) == np.digitize(probe, e)).all()):
+        probe = probe[(probe >= e[0]) & (probe < e[-1])]
+        if not (scaled and (self._bins(probe) == np.digitize(probe, e) - 1).all()):
             self._scale = None
 
-    def _bins(self, row: np.ndarray, work: np.ndarray, up: np.ndarray) -> np.ndarray:
-        """np.digitize(row, self.edges), in a float and a bool buffer of the row's size."""
+    def _bins(self, x: np.ndarray) -> np.ndarray:
+        """np.digitize(x, self.edges) - 1, for positions inside the edges."""
         if self._scale is None:
-            return np.digitize(row, self.edges)
-        with np.errstate(over="ignore"):
-            np.subtract(row, self._origin, out=work)
-            work *= self._scale
-        np.fmax(np.fmin(work, self.edges.size, out=work), 0.0, out=work)
+            return np.digitize(x, self.edges) - 1
+        work = np.subtract(x, self._origin)
+        work *= self._scale
         bins = work.astype(np.intp)
         # in place: take's default mode and a bool-to-intp ufunc would go through buffers
-        np.greater_equal(row, np.take(self._upper, bins, out=work, mode="clip"), out=up)
+        up = np.greater_equal(x, self._upper.take(bins, out=work, mode="clip"))
         np.copyto(work.view(np.intp), up)
         bins += work.view(np.intp)
         return bins
 
+    def _lookup(self, x: np.ndarray) -> tuple:
+        """The positions of x inside the edges: their indices in x, a copy of
+        them and their bins."""
+        inside = np.greater_equal(x, self.edges[0])
+        inside &= np.less(x, self.edges[-1])
+        at = np.flatnonzero(inside)
+        positions = x[at]
+        return at, positions, self._bins(positions)
+
+    def _tally(self, d: int, ends: np.ndarray, starts: np.ndarray, bins: np.ndarray) -> None:
+        """Add the windows from ``starts`` to ``ends``, an array that this
+        overwrites, to their bins of direction d (0 v_plus, 1 v_minus)."""
+        steps = np.subtract(ends, starts, out=ends)
+        steps /= self.epsilon
+        # add.at adds in input order
+        np.add.at(self.sums[d], bins, steps)
+        np.multiply(steps, steps, out=steps)
+        np.add.at(self.sq[d], bins, steps)
+
     def add(self, row: np.ndarray) -> None:
         """Take the positions at the next lattice time: the windows that end there."""
-        # the bin lookup works in the buffers of the steps and their squares
-        steps, steps_sq = np.empty((2, row.size))
-        bins = self._bins(row, steps, steps_sq.view(bool)[: row.size])
-        if self._last_bins is not None:
-            np.subtract(row, self._last, out=steps)
-            steps /= self.epsilon
-            np.multiply(steps, steps, out=steps_sq)
-            # add.at adds in input order, as bincount does
-            for d, at in enumerate((self._last_bins, bins)):
-                self.counts[d] += np.bincount(at, minlength=self.edges.size + 1)
-                np.add.at(self.sums[d], at, steps)
-                np.add.at(self.sq[d], at, steps_sq)
-        np.copyto(self._last, row)
-        self._last_bins = bins
+        ends = np.zeros_like(self.counts[0])
+        for start in range(0, row.size, self._chunk):
+            ends += self._add_chunk(row[start : start + self._chunk], self._last[start : start + self._chunk])
+        # a row's bins count the windows that end there and those that start there
+        if self._starts is not None:
+            self.counts[0] += self._starts
+            self.counts[1] += ends
+        self._starts = ends
+
+    def _add_chunk(self, x: np.ndarray, last: np.ndarray) -> np.ndarray:
+        """Take a chunk of a row, x, whose positions in the last row, ``last``,
+        it then overwrites; return the chunk's count per bin."""
+        first = self._starts is None
+        if not first:
+            at, positions, bins = self._lookup(last)
+            self._tally(0, x[at], positions, bins)
+            # dropped before the next lookup, beside which they would be held
+            del at, positions, bins
+        at, positions, bins = self._lookup(x)
+        if not first:
+            self._tally(1, positions, last[at], bins)
+        np.copyto(last, x)
+        return np.bincount(bins, minlength=self.counts.shape[1])
 
     def estimates(self, min_count: int = DEFAULT_MIN_BIN_COUNT) -> tuple:
         """(v_plus, v_minus) of the windows taken so far."""
         return tuple(
-            _binned_velocity(self.counts[d, 1:-1], self.sums[d, 1:-1], self.sq[d, 1:-1], self.edges, self.epsilon, min_count)
+            _binned_velocity(self.counts[d], self.sums[d], self.sq[d], self.edges, self.epsilon, min_count)
             for d in range(2)
         )
 
@@ -753,8 +787,11 @@ def _order_statistics(samples, ranks: np.ndarray, lo: float, scale: float) -> np
     smooth density, and at most all of them when most samples share one bin
     (a far outlier), which is the copy np.percentile makes.
     """
-    work = np.empty(min(samples.size, _KDE_BLOCK))
-    bins = np.empty(work.size, dtype=np.intp)
+    # one block for both buffers: glibc's mmap threshold follows the largest
+    # block freed, so once this one is, the density estimate's block-sized
+    # temporaries come from its heap instead of each mapping fresh pages
+    scratch = np.empty((2, min(samples.size, _KDE_BLOCK)))
+    work, bins = scratch[0], scratch[1].view(np.intp)
     counts = np.zeros(_RANK_BINS + 1, dtype=np.intp)
     for block in _sample_blocks(samples):
         counts += np.bincount(_rank_bins(block, lo, scale, work, bins), minlength=_RANK_BINS + 1)

@@ -165,16 +165,32 @@ def exact_average(variable: QuadraticVariable, measure: FieldMeasure) -> float:
     return linalg.trace_product(variable.kernel, measure.covariance)
 
 
+def _eigen_form(variable: QuadraticVariable) -> tuple:
+    """(lambda, Q) with S = Q diag(lambda) Q^T, S the real symmetric matrix
+    of phi -> A phi on phi's interleaved float view x, so that x S x^T is
+    <phi|A|phi>. From A = U diag(mu) U*, <phi|A|phi> = sum_k mu_k |(U* phi)_k|^2:
+    x Q is the float view of phi conj(U), and mu_k weighs both parts of its
+    entry k."""
+    # the complex eigh, which the measure's factor loads already: a real one
+    # would page in about 0.4 MiB more of LAPACK
+    mu, u = np.linalg.eigh(variable.kernel)
+    d = variable.dim
+    return np.repeat(mu, 2), _real_form(u.conj()).reshape(2 * d, 2 * d)
+
+
 def _form_values(forms, samples: np.ndarray, out: np.ndarray, products: np.ndarray) -> np.ndarray:
-    """Per sample, x S x^T for the one form S of ``forms``, or the product of
-    that of its two, into ``out``, with x S in ``products``. S, the real form
-    of phi -> A phi, is symmetric for a Hermitian kernel A, and x S x^T is
-    Re<phi|A phi> on phi's interleaved float view x."""
+    """Per sample, the value of the one form of ``forms`` (``_eigen_form``),
+    or the product of those of its two, into out[0], returned: each value is
+    sum_k lambda_k (x Q)_k^2, in a row of ``out`` per form, with x Q and its
+    squares in ``products``."""
     x = samples.view(np.float64)
-    np.einsum("nk,nk->n", x, np.matmul(x, forms[0], out=products), out=out)
+    for (eigenvalues, q), values in zip(forms, out):
+        np.matmul(x, q, out=products)
+        np.multiply(products, products, out=products)
+        np.matmul(products, eigenvalues, out=values)
     if len(forms) == 2:
-        out *= np.einsum("nk,nk->n", x, np.matmul(x, forms[1], out=products))
-    return out
+        out[0] *= out[1]
+    return out[0]
 
 
 def _monte_carlo(variables, measure: FieldMeasure, n: int, seed: int) -> MonteCarloEstimate:
@@ -188,19 +204,19 @@ def _monte_carlo(variables, measure: FieldMeasure, n: int, seed: int) -> MonteCa
     """
     if n < 2:
         raise ValidationError("Monte Carlo estimate needs n >= 2")
+    _check_dims(measure, *variables)
     rng = philox(seed)
     d = measure.dim
     check_work(2 * d * n, f"the {2 * d} normals of each of {n} samples")
-    # for one block, the values and a second form's (8 bytes per sample each),
-    # and phi and its normals, which x S reuses (16 bytes per sample and component each)
+    # for one block, the values of each form (8 bytes per sample each), and
+    # phi and its normals, which x Q reuses (16 bytes per sample and component each)
     check_memory(16 * _BLOCK + 32 * d * _BLOCK + _SMALL_BYTES, "the Monte Carlo estimate")
-    forms = [_real_form(v.kernel.T).reshape(2 * d, 2 * d) for v in variables]
+    forms = [_eigen_form(v) for v in variables]
     m = min(n, _BLOCK)
-    vals, phi, scratch = np.empty(m), np.empty((m, d), dtype=np.complex128), np.empty((m, 2 * d))
+    vals, phi, scratch = np.empty((len(forms), m)), np.empty((m, d), dtype=np.complex128), np.empty((m, 2 * d))
     for start in range(0, n, _BLOCK):
         k = min(n - start, _BLOCK)
-        block = vals[:k]
-        _form_values(forms, sample_fields(measure, k, rng, out=(phi[:k], scratch[:k])), block, scratch[:k])
+        block = _form_values(forms, sample_fields(measure, k, rng, out=(phi[:k], scratch[:k])), vals[:, :k], scratch[:k])
         block_sum = np.add.reduce(block)
         # the squared deviations from the block's mean, in place
         block -= block_sum / k

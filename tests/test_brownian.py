@@ -688,6 +688,12 @@ class TestCoarseVelocities:
             coarse_velocities(tiny, 1e-13, np.linspace(-1, 1, 5), min_count=1)
         coarse_velocities(tiny, 2e-13, np.linspace(-1, 1, 5), min_count=1)
 
+    def test_single_stored_time_rejected(self):
+        # one stored time has no step between stored times, and no window
+        ens = TrajectoryEnsemble(times=np.zeros(1), x=np.zeros((10, 1, 1)), p=None, config=harmonic_config())
+        with pytest.raises(ValidationError, match="at least two stored times"):
+            coarse_velocities(ens, 4e-3, np.linspace(-1.0, 1.0, 5))
+
     def test_empty_bins_are_missing(self, stationary_ensemble):
         edges = np.array([40.0, 41.0, 42.0])  # far outside the support
         for v in coarse_velocities(stationary_ensemble, 4e-3, edges):
@@ -741,8 +747,8 @@ class TestCoarseVelocities:
         assert peak < 2**20, peak
 
     def test_peak_per_block_within_memory_estimate(self):
-        # the tally's block is one lattice row: 11 and 41 lattice times at
-        # epsilon = 2 steps take the same peak, 40 bytes per trajectory and
+        # the tally holds one lattice row: 11 and 41 lattice times at
+        # epsilon = 2 steps take the same peak, 20 bytes per trajectory and
         # a few kB of bins and results
         edges = np.linspace(-1.0, 1.0, 9)
         n_trajectories = 2**14
@@ -757,7 +763,7 @@ class TestCoarseVelocities:
                 tracemalloc.stop()
         short, long = peaks
         assert abs(long - short) < 2**12, peaks
-        assert long <= 40 * n_trajectories + 2**14, peaks
+        assert long <= 20 * n_trajectories + 2**14, peaks
 
 
 def two_pass_velocities(ensemble, epsilon, bin_edges, min_count):
@@ -904,6 +910,35 @@ class TestReferenceFormulas:
         estimates = coarse_velocities(ens, k * 1e-3, edges, min_count=min_count)
         self.assert_bit_identical(estimates, two_pass_velocities(ens, k * 1e-3, edges, min_count))
 
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_bounds_and_non_finite_positions(self, data):
+        # criterion 10's single bin, or four bins, on rows that hold nan,
+        # +-inf, e_0, e_last and their float neighbours. The infinities sit
+        # on trajectories that never enter the edges, at every second lattice
+        # time, so that no window takes inf - inf or brings one into a bin
+        from bildsim import acceptance
+
+        edges = data.draw(st.sampled_from([acceptance._BENCH_BINS[1][1], np.linspace(-1.0, 1.0, 5)]))
+        k = data.draw(st.integers(2, 4))
+        n_times = data.draw(st.integers(k + 1, 4 * k + 3))
+        n_trajectories = data.draw(st.integers(1, 3 * brownian._BLOCK + 17))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        e0, e_last = edges[0], edges[-1]
+        below, above = np.nextafter([e0, e_last], -np.inf), np.nextafter([e0, e_last], np.inf)
+        shape = (n_times, n_trajectories)
+        bounds = np.array([e0, e_last, *below, *above, np.nan])
+        xs = np.where(rng.random(shape) < 0.3, rng.choice(bounds, shape), rng.uniform(e0, e_last, shape))
+        wild = rng.random(n_trajectories) < 0.2
+        xs[:, wild] = rng.choice([below[0], e_last, above[1], np.nan], (n_times, wild.sum()))
+        every_second = np.arange(n_times) % (2 * k) == 0
+        xs[np.ix_(every_second, wild)] = rng.choice([np.inf, -np.inf, np.nan], (every_second.sum(), wild.sum()))
+        config = harmonic_config(n_trajectories=n_trajectories, store_every=1, t_end=(n_times - 1) * 1e-3)
+        ens = TrajectoryEnsemble(times=np.arange(n_times) * 1e-3, x=xs.T[:, :, None], p=None, config=config)
+        min_count = data.draw(st.integers(1, 50))
+        estimates = coarse_velocities(ens, k * 1e-3, edges, min_count=min_count)
+        self.assert_bit_identical(estimates, two_pass_velocities(ens, k * 1e-3, edges, min_count))
+
     @pytest.mark.parametrize("epsilon", [5e-3, 1e-2, 2e-2])
     def test_momentum_resolution(self, free_underdamped, epsilon):
         # 101 stored times: k = 2 and 4 divide the 100 steps, k = 8 does not
@@ -916,8 +951,14 @@ HALF_MAX = np.finfo(float).max / 2
 
 
 def lookup_bins(tally, x):
-    """The tally's bins of the positions x, as ``add`` finds them."""
-    return tally._bins(x, np.empty(x.size), np.empty(x.size, dtype=bool))
+    """The tally's lookup of the positions x, as ``add`` makes it, in
+    np.digitize's terms: the bin of each position it takes, plus one; of
+    those it drops, 0 below the first edge and len(edges) at or above the
+    last, or nan."""
+    at, _, bins = tally._lookup(x)
+    got = np.where(x < tally.edges[0], 0, tally.edges.size)
+    got[at] = bins + 1
+    return got
 
 
 def linspace_edges():
@@ -998,22 +1039,27 @@ class TestBinLookup:
         for lo, hi in ((-2.0, 2.0), (-2.05, 2.05), (-1.0, 1.0), (0.0, 3.0), (-10.0, 10.0), (0.5, 1.5)):
             edge_sets += [np.linspace(lo, hi, n_bins + 1) for n_bins in range(1, 201)]
         x = np.random.default_rng(29).normal(0.0, 2.0, 1000)
-        positions_seen = []
+        calls = []
         digitize = np.digitize
 
         def spy(values, edges, **kw):
-            positions_seen.append(np.shares_memory(values, x))
+            calls.append(np.asarray(values).copy())
             return digitize(values, edges, **kw)
 
         monkeypatch.setattr(np, "digitize", spy)
         for edges in edge_sets:
             tally = brownian.VelocityTally(edges, 1e-2, x.size)
+            calls.clear()
             tally.add(x)
             tally.add(x[::-1])
-        assert not any(positions_seen)
-        # edges far from uniform do send the positions there
-        brownian.VelocityTally([0.0, 0.001, 1.0], 1e-2, x.size).add(x)
-        assert positions_seen[-1]
+            assert not calls
+        # edges far from uniform do send the positions there, those inside
+        # the edges, quarter by quarter
+        tally = brownian.VelocityTally([0.0, 0.001, 0.002, 1.0], 1e-2, x.size)
+        calls.clear()
+        tally.add(x)
+        inside = x[(x >= 0.0) & (x < 1.0)]
+        assert np.concatenate(calls).tobytes() == inside.tobytes()
 
 
 class TestStoreEvery:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bildsim import brownian, cli, linalg, runio
+from bildsim import acceptance, brownian, cli, linalg, runio
 
 
 def write_config(tmp_path, config):
@@ -230,6 +230,12 @@ class TestBrownianCommands:
         err = json.loads(capsys.readouterr().err)
         assert "dt" in err["error"]
 
+    def test_negative_temperature_exits_2(self, tmp_path):
+        config = {"command": "brownian-om", "params": langevin_params(temperatures=[-1.0])}
+        rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")])
+        assert assert_one_error_line(rc, lines, 2) == "temperatures must be nonnegative"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_langevin_key_exits_2(self, tmp_path, capsys):
         params = langevin_params()
         params["viscosity"] = 2.0
@@ -385,6 +391,25 @@ class TestAcceptanceCommand:
         cli.run_experiment({"command": "acceptance", "params": {"criteria": [5]}}, str(out))
         results = json.loads((out / "acceptance.json").read_text())
         assert [(r["number"], r["passed"]) for r in results] == [(5, True)]
+
+    def test_failed_criterion_exits_3(self, tmp_path, monkeypatch):
+        # the gate's verdict is its exit code: criterion 7, made to fail,
+        # fails the run after its records are written
+        def failing():
+            result = criterion_7()
+            result.passed = False
+            return result
+
+        criteria = list(acceptance._CRITERIA)
+        criterion_7, criteria[6] = criteria[6], failing
+        monkeypatch.setattr(acceptance, "_CRITERIA", criteria)
+        config = {"command": "acceptance", "params": {"criteria": [5, 7]}}
+        out = tmp_path / "gate"
+        rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(out)])
+        assert assert_one_error_line(rc, lines, 3) == "one or more acceptance criteria failed"
+        assert os.listdir(out) == ["acceptance.json"]
+        results = json.loads((out / "acceptance.json").read_text())
+        assert [(r["number"], r["passed"]) for r in results] == [(5, True), (7, False)]
 
 
 def run_main(argv):

@@ -61,6 +61,10 @@ class TestSampleFields:
         with pytest.raises(ValidationError):
             fields.FieldMeasure(np.diag([1.0, -0.5]))
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            fields.sample_fields(fields.FieldMeasure(np.eye(2)), 0, 1)
+
     @pytest.mark.parametrize("n", [17, 4 * BLOCK, 4 * BLOCK + 17, 8 * BLOCK + 17])
     def test_chunks_on_one_generator_join_to_one_call(self, n):
         # the calls of a Monte Carlo estimate, one block each
@@ -154,8 +158,8 @@ class TestReferenceFormulas:
             (fields.mc_average(v, measure, n, 51), [v]),
             (fields.mc_pair_correlation(v, w, measure, n, 51), [v, w]),
         ):
-            forms = [fields._real_form(u.kernel.T).reshape(6, 6) for u in variables]
-            vals = fields._form_values(forms, samples, np.empty(n), np.empty((n, 6)))
+            forms = [fields._eigen_form(u) for u in variables]
+            vals = fields._form_values(forms, samples, np.empty((len(forms), n)), np.empty((n, 6)))
             if n <= BLOCK:
                 assert est.mean == vals.mean()
                 assert est.std_error == vals.std(ddof=1) / np.sqrt(n)
@@ -393,6 +397,26 @@ class TestPairCorrelation:
         exact = fields.exact_pair_correlation(v, w, measure)
         est = fields.mc_pair_correlation(v, w, measure, 10**6, 11)
         assert abs(est.mean - exact) < 4.0 * est.std_error
+
+
+class TestDimensionMismatch:
+    """A kernel of another dimension than the measure's is named as such by
+    every average, exact or Monte Carlo, before any product is formed."""
+
+    @pytest.mark.parametrize(
+        "average",
+        [
+            fields.exact_average,
+            lambda v, m: fields.exact_pair_correlation(v, v, m),
+            lambda v, m: fields.mc_average(v, m, 10, 1),
+            lambda v, m: fields.mc_pair_correlation(v, v, m, 10, 1),
+        ],
+        ids=["exact_average", "exact_pair_correlation", "mc_average", "mc_pair_correlation"],
+    )
+    def test_kernel_of_other_dimension_rejected(self, average):
+        variable, measure = fields.QuadraticVariable(np.eye(3)), fields.FieldMeasure(np.eye(2))
+        with pytest.raises(DimensionMismatchError, match="kernel dimension 3 vs measure dimension 2"):
+            average(variable, measure)
 
 
 class TestEmpiricalCovariance:

@@ -11,7 +11,7 @@ from the one run of the battery that the session shares with
 ``test_acceptance.py``.
 
 The numbers of the pcsft files pass through BLAS products (``z @ E``,
-``x @ S``); the last bits of a product can depend on the CPU's BLAS kernel.
+``x @ Q``); the last bits of a product can depend on the CPU's BLAS kernel.
 Their Monte Carlo statistics are also merged block by block, so above one
 block of 2^14 samples they match numpy's mean and std of all the values to
 rounding, not bit for bit. The osmotic oracle's were pinned when it too
