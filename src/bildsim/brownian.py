@@ -367,16 +367,27 @@ def stored_states(config: LangevinConfig, underdamped: bool):
     + sqrt(2 gamma T) dW, or the overdamped dx = (F/gamma) dt + sqrt(2 T/gamma) dW,
     as a stream of (time, x, p) at each stored time: x and p (None when
     overdamped) are (trajectory, particle) buffers that the next step
-    overwrites. The regime checks are the integrators'.
+    overwrites.
 
     Draw order, which fixes the output bit for bit for a (config, seed):
     initial positions, initial momenta (underdamped only), then one
-    standard-normal array of shape x.shape per step. The state that carries
-    the noise (p, or x when overdamped) is checked every 200 steps. A step
-    count t_end / dt too large to be a number, more than 10^12
-    particle-steps, or a seed that is not an integer in [0, 2^64) is a
-    ValidationError, raised before the first draw.
+    standard-normal array of shape x.shape per step. Raised before the first
+    draw: a RegimeError for a dt above tau_p / 20 (underdamped) or 1e-3 tau_x
+    (overdamped, ``timescale_report``), and a ValidationError for a step count
+    t_end / dt too large to be a number, more than 10^12 particle-steps, or a
+    seed that is not an integer in [0, 2^64). The state that carries the noise
+    (p, or x when overdamped) is checked every 200 steps, and the whole final
+    state after the last step: the updates only add to x and p, so an entry
+    that turns non-finite at any step is non-finite at the end.
     """
+    if underdamped and config.dt > config.tau_p / 20.0:
+        raise RegimeError(
+            f"dt={config.dt:.3g} exceeds tau_p/20={config.tau_p / 20.0:.3g}; "
+            "momentum dynamics would be under-resolved"
+        )
+    bound = math.inf if underdamped else 1e-3 * timescale_report(config).tau_x
+    if config.dt > bound:
+        raise RegimeError(f"dt={config.dt:.3g} exceeds overdamped step bound {bound:.3g}")
     n_steps, _ = _schedule(config)
     # hours at ~2e7 particle-steps a second; the largest test or criterion takes 1e8
     work = n_steps * config.n_trajectories * config.n_particles
@@ -391,11 +402,9 @@ def stored_states(config: LangevinConfig, underdamped: bool):
     xi = np.empty(shape)
     gamma, m, dt, force = config.gamma, config.mass, config.dt, config.potential.force
     noise_amp = np.sqrt(2.0 * (gamma * config.temps if underdamped else config.diffusion_coefficients()) * dt)
-    for step in range(n_steps + 1):
+    for step in range(n_steps):
         if step % config.store_every == 0:
             yield step * dt, x, p
-        if step == n_steps:
-            return
         rng.standard_normal(out=xi)
         # in place, each term added in turn: the roundings of x + a + b
         if underdamped:
@@ -407,17 +416,21 @@ def stored_states(config: LangevinConfig, underdamped: bool):
             x += noise_amp * xi
         if step % 200 == 0:
             _check_finite(p if underdamped else x, step, dt)
+    for state in (x, p) if underdamped else (x,):
+        _check_finite(state, n_steps, dt)
+    if n_steps % config.store_every == 0:
+        yield n_steps * dt, x, p
 
 
 def _collect(config: LangevinConfig, underdamped: bool) -> TrajectoryEnsemble:
-    """The stored states of ``stored_states`` as an ensemble, each checked once
-    the run ends. Storage larger than the machine's physical memory is a
-    ValidationError, raised before anything is allocated. The stored arrays
+    """The stored states of ``stored_states`` as an ensemble. Storage larger
+    than the machine's physical memory is a ValidationError, raised before
+    anything is allocated and before the stream's checks. The stored arrays
     are held time-major, (time, trajectory, particle), and returned as
     (trajectory, time, particle) views of that memory: they index like the
     ensemble's contract says but are not C-contiguous.
     """
-    n_steps, n_stored = _schedule(config)
+    _, n_stored = _schedule(config)
     # xs, ps (underdamped) and times
     per_time = (1 + underdamped) * config.n_trajectories * config.n_particles + 1
     check_memory(8 * n_stored * per_time, "the stored ensemble")
@@ -429,29 +442,18 @@ def _collect(config: LangevinConfig, underdamped: bool) -> TrajectoryEnsemble:
         times[slot], xs[slot] = t, x
         if underdamped:
             ps[slot] = p
-    _check_finite(xs, n_steps, config.dt)
-    if underdamped:
-        _check_finite(ps, n_steps, config.dt)
     p_view = ps.transpose(1, 0, 2) if underdamped else None
     return TrajectoryEnsemble(times=times, x=xs.transpose(1, 0, 2), p=p_view, config=config)
 
 
 def integrate_underdamped(config: LangevinConfig) -> TrajectoryEnsemble:
     """The underdamped run of ``stored_states``, collected, at a step dt of at most tau_p / 20."""
-    if config.dt > config.tau_p / 20.0:
-        raise RegimeError(
-            f"dt={config.dt:.3g} exceeds tau_p/20={config.tau_p / 20.0:.3g}; "
-            "momentum dynamics would be under-resolved"
-        )
     return _collect(config, underdamped=True)
 
 
 def integrate_overdamped(config: LangevinConfig) -> TrajectoryEnsemble:
     """The overdamped run of ``stored_states``, collected, at a step dt of at
     most 1e-3 tau_x (``timescale_report``) for every potential kind."""
-    bound = 1e-3 * timescale_report(config).tau_x
-    if config.dt > bound:
-        raise RegimeError(f"dt={config.dt:.3g} exceeds overdamped step bound {bound:.3g}")
     return _collect(config, underdamped=False)
 
 

@@ -330,7 +330,9 @@ class TestUnderdamped:
 
 
 class TestCheckFinite:
-    """The end-of-run check on a stored (time, trajectory, particle) array."""
+    """The check that ``stored_states`` makes of its noise-carrying state
+    every 200 steps and of its whole final state, here on a (time,
+    trajectory, particle) array: a nan or an infinity anywhere in it."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_planted_entries_are_counted(self, bad):
@@ -533,6 +535,14 @@ class TestFokkerPlanckResidual:
     def test_insufficient_samples(self):
         ens = integrate_overdamped(harmonic_config(n_trajectories=1000))
         with pytest.raises(ValidationError, match="insufficient"):
+            fokker_planck_residual(ens)
+
+    def test_two_particles_rejected(self):
+        # 1e5 trajectories of two particles, as zero-stride views of one spread of positions
+        config = harmonic_config(n_particles=2, n_trajectories=10**5)
+        x = np.broadcast_to(np.linspace(-2.0, 2.0, 10**5)[:, None, None], (10**5, 11, 2))
+        ens = TrajectoryEnsemble(times=np.arange(11) * 5e-3, x=x, p=None, config=config)
+        with pytest.raises(ValidationError, match="implemented for one particle"):
             fokker_planck_residual(ens)
 
     def test_point_source_spreading(self):
@@ -752,6 +762,8 @@ class TestCoarseVelocities:
         # a few kB of bins and results
         edges = np.linspace(-1.0, 1.0, 9)
         n_trajectories = 2**14
+        # untraced, so that what the process's first call keeps for good counts against neither peak
+        coarse_velocities(edge_case_ensemble(edges, n_trajectories=n_trajectories, n_times=21), 2e-3, edges, min_count=2)
         peaks = []
         for n_times in (21, 81):
             ens = edge_case_ensemble(edges, n_trajectories=n_trajectories, n_times=n_times)
@@ -1478,6 +1490,11 @@ class TestMomentumResolution:
         with pytest.raises(RegimeError, match="tau_p"):
             momentum_resolution_check(free_underdamped, 0.1, p_center=1.0)
 
+    def test_sparse_momentum_bin_rejected(self, free_underdamped):
+        # p = 3.5 +- 0.05 lies 3.5 standard deviations out
+        with pytest.raises(ValidationError, match="only 47 samples in the momentum bin"):
+            momentum_resolution_check(free_underdamped, 1e-2, p_center=3.5)
+
     def test_requires_momenta(self, stationary_ensemble):
         with pytest.raises(ValidationError, match="underdamped"):
             momentum_resolution_check(stationary_ensemble, 4e-3, p_center=0.0)
@@ -1606,6 +1623,28 @@ class TestStoredStates:
             assert np.ascontiguousarray(ens.p).tobytes() == np.stack([p for _, _, p in states], axis=1).tobytes()
         else:
             assert ens.p is None
+
+    def test_blow_up_in_the_last_200_steps_fails_the_stream(self):
+        # the momenta overflow after the check at step 0; the stream's
+        # end-of-run check finds it before the last state is handed out
+        config = harmonic_config(
+            potential=Potential.harmonic(1e308), x_init=0.0, dt=0.01, t_end=0.04, n_trajectories=10, seed=3, store_every=2
+        )
+        times = []
+        with pytest.warns(RuntimeWarning), pytest.raises(NumericalError, match=r"blew up at step 4 \(t=0\.04\)"):
+            for t, _, _ in brownian.stored_states(config, underdamped=True):
+                times.append(t)
+        assert times == [0.0, 0.02]
+
+    @pytest.mark.parametrize(
+        "underdamped,dt,message", [(True, 0.2, "exceeds tau_p/20"), (False, 0.05, "overdamped step bound")]
+    )
+    def test_step_bounds_raised_at_the_first_draw(self, monkeypatch, underdamped, dt, message):
+        draws = []
+        monkeypatch.setattr(brownian, "philox", lambda seed: draws.append(seed))
+        with pytest.raises(RegimeError, match=message):
+            next(brownian.stored_states(harmonic_config(dt=dt), underdamped))
+        assert not draws
 
     def test_tally_fed_from_the_stream(self):
         # rows of the stream's own buffer give the bits of the stored ensemble

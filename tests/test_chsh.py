@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bildsim import chsh, cli, linalg
-from bildsim.errors import ValidationError
+from bildsim.errors import DimensionMismatchError, ValidationError
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -181,6 +181,31 @@ class TestChshValue:
         chsh.chsh_grid_max(chsh.singlet_state())
         assert len(calls) == 2
 
+    def test_one_qubit_state_fails_the_dimension_check(self):
+        with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 4"):
+            chsh.chsh_value(np.eye(2) / 2, chsh.ChshAngles(*chsh.OPTIMAL_ANGLES))
+
+    def test_twice_the_singlet_fails_the_trace_check(self):
+        # each |E| would be up to 2; the trace check alone stands in the way
+        with pytest.raises(ValidationError, match="trace is"):
+            chsh.chsh_value(2 * chsh.singlet_state(), chsh.ChshAngles(*chsh.OPTIMAL_ANGLES))
+
+    def test_state_at_the_eigenvalue_floor_gives_clipped_correlations(self):
+        # the singlet raised by 3 delta and its complement lowered by delta,
+        # just above the floor: trace 1, and E(a, a) = -1 - 4 delta before the clip
+        delta = -0.9 * linalg.EIGENVALUE_FLOOR
+        singlet = chsh.singlet_state()
+        rho = (1 + 3 * delta) * singlet - delta * (np.eye(4) - singlet)
+        linalg.check_density(rho)
+        t = np.linspace(-np.pi, np.pi, 61)
+        e = chsh.quantum_correlation(rho, t[:, None], t)
+        assert np.all(np.abs(e) <= 1.0)
+        assert np.all(np.diag(e) == -1.0)
+
+    def test_non_finite_angle_rejected(self):
+        with pytest.raises(ValidationError, match="angle b1 is not finite"):
+            chsh.ChshAngles(0.0, 1.0, np.nan, 2.0)
+
     def test_degeneracy_guard(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -287,6 +312,11 @@ class TestEmpiricalCorrelation:
         stream = chsh.hv_sample(chsh.HvStrategy(kind="constant"), 50, 6)
         for pair in chsh.PAIR_NAMES:
             assert chsh.empirical_correlation(stream, pair) == 1.0
+
+    def test_unknown_pair_rejected(self):
+        stream = chsh.hv_sample(chsh.HvStrategy(kind="constant"), 50, 6)
+        with pytest.raises(ValidationError, match="unknown pair 'A1A1'"):
+            chsh.empirical_correlation(stream, "A1A1")
 
     def test_identical_local_settings(self):
         angles = chsh.ChshAngles(0.3, 0.3, 1.0, 2.0)

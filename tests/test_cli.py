@@ -476,6 +476,17 @@ MALFORMED = [
     ("params.min_count", {"command": "velocity-field", "params": dict(VELOCITY, min_count=0)}),
     ("params.min_count", {"command": "velocity-field", "params": dict(VELOCITY, min_count=1)}),
     ("params.min_count", {"command": "velocity-field", "params": dict(VELOCITY, min_count=-5)}),
+    (
+        "params.kernel",
+        {
+            "command": "pcsft-average",
+            "params": {
+                "covariance": identity_json(2),
+                "kernel": {"dim": 2, "re": [[1.0]], "im": [[0.0]]},
+                "n_samples": 10,
+            },
+        },
+    ),
 ]
 
 
@@ -509,6 +520,13 @@ def test_malformed_config_exits_2(tmp_path, where, config):
             langevin_with(potential={"kind": "polynomial", "spring_constants": 5, "coefficients": [0, 0, 3]}),
             "spring_constants belong to a harmonic potential",
         ),
+        (langevin_with(potential={"kind": "polynomial"}, x_init=0.0), "polynomial potential needs coefficients"),
+        (langevin_with(potential={"kind": "quartic"}, x_init=0.0), "unknown potential kind 'quartic'"),
+        # 3.5 stored steps of 1e-3
+        (
+            {"command": "velocity-field", "params": dict(VELOCITY, epsilon=0.0035)},
+            "is not a multiple of the stored step",
+        ),
     ],
     ids=[
         "spring-count",
@@ -518,6 +536,9 @@ def test_malformed_config_exits_2(tmp_path, where, config):
         "free-fields",
         "harmonic-coefficients",
         "polynomial-springs",
+        "polynomial-without-coefficients",
+        "unknown-kind",
+        "epsilon-between-stored-steps",
     ],
 )
 def test_invalid_langevin_model_exits_2(tmp_path, config, message):
@@ -538,6 +559,12 @@ class TestArgumentErrors:
         argv = [] if extra is None else ["--config", write_config(tmp_path, QUANTUM), *extra]
         rc, lines = run_main(argv)
         assert "argument" in assert_one_error_line(rc, lines, 2)
+
+    def test_zero_threads_exits_2(self, tmp_path):
+        out = tmp_path / "o"
+        rc, lines = run_main(["--config", write_config(tmp_path, QUANTUM), "--threads", "0", "--out", str(out)])
+        assert assert_one_error_line(rc, lines, 2) == "field 'threads' must be >= 1"
+        assert not out.exists()
 
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_out_is_a_file(self, tmp_path, below):
@@ -608,7 +635,7 @@ class TestResourceAndBlowUpErrors:
 
     def test_overflowing_momenta_exit_3(self, tmp_path):
         # the momenta overflow after the check at step 0 and before the one at
-        # step 200; every stored state is checked once the run ends
+        # step 200; the stream checks its whole final state once the run ends
         params = langevin_params(
             potential={"kind": "harmonic", "spring_constants": [1e308]},
             x_init=0.0,
@@ -688,6 +715,12 @@ class TestTrajectoryFile:
         (tmp_path / "long.bin").write_bytes(data + bytes(8))
         with pytest.raises(cli.ValidationError, match="8 bytes follow"):
             runio.load_trajectories(str(tmp_path / "long.bin"))
+        # the same bytes under another schema version
+        header = json.loads(data[: data.index(b"\n")])
+        header["schema_version"] = 2
+        (tmp_path / "schema2.bin").write_bytes(json.dumps(header).encode() + data[data.index(b"\n") :])
+        with pytest.raises(cli.ValidationError, match="not a trajectory file of schema 1"):
+            runio.load_trajectories(str(tmp_path / "schema2.bin"))
         (tmp_path / "empty.bin").write_bytes(b"")
         with pytest.raises(cli.ValidationError, match="bad trajectory header"):
             runio.load_trajectories(str(tmp_path / "empty.bin"))

@@ -89,6 +89,26 @@ class TestTraceProduct:
         with pytest.raises(DimensionMismatchError):
             linalg.trace_product(np.eye(2), np.eye(3))
 
+    def test_imaginary_residue_rejected(self):
+        # each matrix is Hermitian to within HERMITIAN_TOL, and Tr(AB) = 1e-24 i
+        # is far beyond 1e-10 ||A|| ||B|| = 1e-34
+        with pytest.raises(ValidationError, match="imaginary residue"):
+            linalg.trace_product([[0, 1e-12], [0, 0]], [[0, 0], [1e-12j, 0]])
+
+
+class TestMatrixChecks:
+    @pytest.mark.parametrize(
+        "shape,message", [((2, 3), r"square matrix, got shape \(2, 3\)"), ((0, 0), ">= 1")], ids=["2x3", "0x0"]
+    )
+    def test_shapes_rejected(self, shape, message):
+        with pytest.raises(ValidationError, match=message):
+            linalg.as_complex_matrix(np.zeros(shape))
+
+    def test_density_of_trace_two_rejected(self):
+        psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
+        with pytest.raises(ValidationError, match="trace is"):
+            linalg.check_density(2 * np.outer(psi, psi))
+
 
 class TestDensityFromCovariance:
     def test_maximally_mixed(self):
