@@ -5,10 +5,12 @@ and is shared by the CLI `acceptance` subcommand and the test suite. All
 tolerances are pinned here, not configurable. A criterion holds only what
 it reads: criteria 9 and 10 read running velocity tallies and a KDE sample
 of one streamed run, no stored ensemble, and criteria 4 and 11 work in blocks.
+Criteria 2, 3 and 6 run their separately seeded estimates on every CPU (`_each`).
 """
 
 import os
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 
@@ -54,6 +56,37 @@ def _random_psd(rng, d: int, unit_trace: bool = False) -> np.ndarray:
     return b
 
 
+def _cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _each(func, items) -> list:
+    """[func(item) for item in items], of a sequence, handed out in item order to the calling
+    thread and _cores() - 1 more. After a failure no item is handed out, and once every thread
+    has joined, the lowest-index failure is raised: the one the serial loop would raise."""
+    results, errors = [None] * len(items), {}
+    tasks = iter(range(len(items)))
+
+    def work():
+        for i in tasks:
+            try:
+                results[i] = func(items[i])
+            except BaseException as exc:
+                errors[i] = exc
+                for _ in tasks:  # hand out no further item
+                    pass
+
+    threads = [threading.Thread(target=work) for _ in range(min(_cores(), len(items)) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def criterion_1() -> CriterionResult:
     """Energy-scaled coupling identity on 200 random kernel/covariance pairs."""
     rng = np.random.default_rng(101)
@@ -71,30 +104,31 @@ def criterion_1() -> CriterionResult:
 def criterion_2() -> CriterionResult:
     """Monte Carlo averages agree with the trace formula in >= 18/20 cases."""
     rng = np.random.default_rng(202)
-    hits = 0
-    for i in range(20):
+    cases = []
+    for _ in range(20):
         v = fields.QuadraticVariable(_random_hermitian(rng, 4))
-        m = fields.FieldMeasure(_random_psd(rng, 4))
-        est = fields.mc_average(v, m, n=10**5, seed=7000 + i)
-        exact = fields.exact_average(v, m)
-        if abs(est.mean - exact) < 4.0 * est.std_error:
-            hits += 1
+        cases.append((v, fields.FieldMeasure(_random_psd(rng, 4))))
+    estimates = _each(lambda i: fields.mc_average(*cases[i], n=10**5, seed=7000 + i), range(20))
+    hits = sum(
+        abs(est.mean - fields.exact_average(*case)) < 4.0 * est.std_error
+        for case, est in zip(cases, estimates)
+    )
     return _result(2, "pcsft monte carlo consistency", hits >= 18, f"{hits}/20 within 4 sigma")
 
 
 def criterion_3() -> CriterionResult:
     """Closed-form pair correlation matches brute-force MC at d=2,3."""
     rng = np.random.default_rng(303)
-    hits = 0
-    cases = [(2, i) for i in range(10)] + [(3, i) for i in range(10)]
-    for d, i in cases:
+    cases = []
+    for d, i in [(2, i) for i in range(10)] + [(3, i) for i in range(10)]:
         v = fields.QuadraticVariable(_random_hermitian(rng, d))
         w = fields.QuadraticVariable(_random_hermitian(rng, d))
-        m = fields.FieldMeasure(_random_psd(rng, d))
-        exact = fields.exact_pair_correlation(v, w, m)
-        est = fields.mc_pair_correlation(v, w, m, n=10**6, seed=8000 + i + 100 * d)
-        if abs(est.mean - exact) < 4.0 * est.std_error:
-            hits += 1
+        cases.append((v, w, fields.FieldMeasure(_random_psd(rng, d)), 8000 + i + 100 * d))
+    estimates = _each(lambda case: fields.mc_pair_correlation(*case[:3], n=10**6, seed=case[3]), cases)
+    hits = sum(
+        abs(est.mean - fields.exact_pair_correlation(*case[:3])) < 4.0 * est.std_error
+        for case, est in zip(cases, estimates)
+    )
     return _result(3, "wick pair-correlation oracle", hits == 20, f"{hits}/20 within 4 sigma")
 
 
@@ -153,15 +187,11 @@ def criterion_6() -> CriterionResult:
     rng = np.random.default_rng(606)
     n = 10**5
     stderr = 4.0 / np.sqrt(n)
-    worst = 0.0
-    pairs_ok = True
-    for i in range(100):
-        angles = chsh.ChshAngles(*rng.uniform(-np.pi, np.pi, size=4))
-        stream = chsh.hv_sample(chsh.HvStrategy(angles=angles), n, seed=9000 + i)
-        worst = max(worst, abs(chsh.chsh_from_stream(stream)))
-        if i == 0:
-            corr = [chsh.empirical_correlation(stream, p) for p in chsh.PAIR_NAMES]
-            pairs_ok = all(np.isfinite(c) and abs(c) <= 1.0 for c in corr)
+    angles = [chsh.ChshAngles(*rng.uniform(-np.pi, np.pi, size=4)) for _ in range(100)]
+    streams = _each(lambda i: chsh.hv_sample(chsh.HvStrategy(angles=angles[i]), n, seed=9000 + i), range(100))
+    worst = max(abs(chsh.chsh_from_stream(stream)) for stream in streams)
+    corr = [chsh.empirical_correlation(streams[0], p) for p in chsh.PAIR_NAMES]
+    pairs_ok = all(np.isfinite(c) and abs(c) <= 1.0 for c in corr)
     passed = bound == 2.0 and worst <= 2.0 + 5.0 * stderr and pairs_ok
     return _result(
         6,

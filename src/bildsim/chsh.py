@@ -90,7 +90,11 @@ def quantum_correlation(rho: np.ndarray, theta_a, theta_b) -> float | np.ndarray
 
     Arrays of angles broadcast: E = (cos a, sin a) T (cos b, sin b)^T, with rho validated and its
     z/x correlation tensor T_ij = Tr(rho s_i (x) s_j), s = (sigma_z, sigma_x), built once per call.
+    Every angle must be finite, as in ``ChshAngles``.
     """
+    for name, theta in (("theta_a", theta_a), ("theta_b", theta_b)):
+        if not np.all(np.isfinite(theta)):
+            raise ValidationError(f"angle {name} is not finite")
     val = _correlation(_zx_tensor(rho), theta_a, theta_b)
     return float(val) if np.ndim(val) == 0 else val
 

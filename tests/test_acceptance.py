@@ -5,13 +5,17 @@ pass/fail lines; the same battery backs the CLI ``acceptance`` command.
 """
 
 import dataclasses
+import json
+import sys
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from bildsim import acceptance, brownian
+from bildsim import acceptance, brownian, cli, fields
+from bildsim.errors import NumericalError
 
 
 @pytest.mark.parametrize("number", range(1, 13))
@@ -131,3 +135,107 @@ def test_criterion_4_holds_one_block_of_samples():
         tracemalloc.stop()
     assert res.passed
     assert peak < 8 * 2**20, peak
+
+
+def _pair_cases(rng):
+    """Criterion 3's kind of case, (v, w, m, seed), two at d = 2 and two at d = 3."""
+    cases = []
+    for d, seed in ((2, 1), (2, 2), (3, 3), (3, 4)):
+        v, w = (fields.QuadraticVariable(acceptance._random_hermitian(rng, d)) for _ in range(2))
+        cases.append((v, w, fields.FieldMeasure(acceptance._random_psd(rng, d)), seed))
+    return cases
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_each_is_bit_for_bit_the_serial_loop(monkeypatch, cores):
+    # every case is made afresh, so no cached property is shared with the serial run
+    def estimate(case):
+        threads.add(threading.get_ident())
+        return fields.mc_pair_correlation(*case[:3], n=2 * 10**5, seed=case[3])
+
+    threads = set()
+    serial = [estimate(case) for case in _pair_cases(np.random.default_rng(303))]
+    threads.clear()
+    monkeypatch.setattr(acceptance, "_cores", lambda: cores)
+    got = acceptance._each(estimate, _pair_cases(np.random.default_rng(303)))
+    assert got == serial and [e.seed for e in got] == [1, 2, 3, 4]
+    assert len(threads) == cores
+
+
+def test_each_keeps_item_order_when_a_later_item_finishes_first(monkeypatch):
+    later_done = threading.Event()
+
+    def task(i):
+        if i == 0:
+            assert later_done.wait(timeout=30)
+        else:
+            later_done.set()
+        return i
+
+    monkeypatch.setattr(acceptance, "_cores", lambda: 2)
+    assert acceptance._each(task, range(2)) == [0, 1]
+
+
+def test_each_starts_no_thread_on_one_core(monkeypatch):
+    seen = []
+    monkeypatch.setattr(acceptance, "_cores", lambda: 1)
+    baseline = threading.active_count()
+    acceptance._each(lambda i: seen.append((threading.current_thread(), threading.active_count())), range(3))
+    assert seen == [(threading.current_thread(), baseline)] * 3
+
+
+def test_each_raises_the_lowest_index_failure_after_every_thread_joins(monkeypatch, capsys):
+    # item 1 fails first; item 0, in the other thread, fails after it. No
+    # item is handed out after a failure, and no thread prints a traceback.
+    first_failed = threading.Event()
+    ran = []
+
+    def task(i):
+        ran.append(i)
+        if i == 1:
+            first_failed.set()
+        else:
+            assert first_failed.wait(timeout=30)
+        raise NumericalError(f"item {i}")
+
+    monkeypatch.setattr(acceptance, "_cores", lambda: 2)
+    baseline = threading.active_count()
+    with pytest.raises(NumericalError, match="item 0"):
+        acceptance._each(task, range(6))
+    assert sorted(ran) == [0, 1]
+    assert threading.active_count() == baseline
+    assert capsys.readouterr() == ("", "")
+
+
+def test_each_runs_every_item_once_with_more_workers_than_cores(monkeypatch):
+    # more threads than cores and a switch interval of 1 us, so that a
+    # shared task handed out twice, or a result stored twice, would show
+    ran = []
+    monkeypatch.setattr(acceptance, "_cores", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = acceptance._each(lambda i: ran.append(i) or i * i, range(5000))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [i * i for i in range(5000)]
+    assert sorted(ran) == list(range(5000))
+
+
+def test_failed_estimate_exits_3_with_one_json_line(tmp_path, monkeypatch, capsys):
+    # criterion 2's estimate of seed 7003 fails in whichever thread draws it
+    def mc_average(variable, measure, n, seed):
+        if seed == 7003:
+            raise NumericalError("estimate 3 failed")
+        return real(variable, measure, n, seed)
+
+    real = fields.mc_average
+    monkeypatch.setattr(fields, "mc_average", mc_average)
+    monkeypatch.setattr(acceptance, "_cores", lambda: 2)
+    config = tmp_path / "acceptance.json"
+    config.write_text(json.dumps({"command": "acceptance", "params": {"criteria": [2]}}))
+    baseline = threading.active_count()
+    assert cli.main(["--config", str(config), "--out", str(tmp_path / "gate")]) == 3
+    assert threading.active_count() == baseline
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0]) == {"error": "estimate 3 failed", "exit_code": 3}

@@ -76,6 +76,14 @@ class TestQuantumCorrelation:
                 )
                 assert vals[i, j] == pytest.approx((psi.conj() @ ab @ psi).real, abs=1e-15)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["theta_a", "theta_b"])
+    def test_non_finite_angle_rejected(self, name, bad):
+        # under the suite's RuntimeWarning error filter: rejected before np.cos sees it
+        angles = {"theta_a": 0.3, "theta_b": 1.1, name: np.array([0.0, bad])}
+        with pytest.raises(ValidationError, match=f"angle {name} is not finite"):
+            chsh.quantum_correlation(chsh.singlet_state(), **angles)
+
     def test_sweep_validates_rho_a_fixed_number_of_times(self, tmp_path, monkeypatch):
         calls = []
         check_density = linalg.check_density
