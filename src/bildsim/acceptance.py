@@ -5,9 +5,12 @@ and is shared by the CLI `acceptance` subcommand and the test suite. All
 tolerances are pinned here, not configurable. A criterion holds only what
 it reads: criteria 9 and 10 read running velocity tallies and a KDE sample
 of one streamed run, no stored ensemble, and criteria 4 and 11 work in blocks.
-Criteria 2, 3 and 6 run their separately seeded estimates on every CPU (`_each`).
+The battery runs in two lanes side by side (`run_all`): criteria 2, 3 and 6,
+which run their separately seeded estimates on every CPU (`_each`), beside
+the rest, which stay on the calling thread.
 """
 
+import itertools
 import os
 import tempfile
 import threading
@@ -62,13 +65,14 @@ def _cores() -> int:
 
 def _each(func, items) -> list:
     """[func(item) for item in items], of a sequence, handed out in item order to the calling
-    thread and _cores() - 1 more. After a failure no item is handed out, and once every thread
-    has joined, the lowest-index failure is raised: the one the serial loop would raise."""
+    thread and _cores() - 1 more. The calling thread takes item 0 before any other thread
+    starts. After a failure no item is handed out, and once every thread has joined, the
+    lowest-index failure is raised: the one the serial loop would raise."""
     results, errors = [None] * len(items), {}
     tasks = iter(range(len(items)))
 
-    def work():
-        for i in tasks:
+    def work(taken=()):
+        for i in itertools.chain(taken, tasks):
             try:
                 results[i] = func(items[i])
             except BaseException as exc:
@@ -76,10 +80,11 @@ def _each(func, items) -> list:
                 for _ in tasks:  # hand out no further item
                     pass
 
+    first = list(itertools.islice(tasks, 1))
     threads = [threading.Thread(target=work) for _ in range(min(_cores(), len(items)) - 1)]
     for thread in threads:
         thread.start()
-    work()
+    work(first)
     for thread in threads:
         thread.join()
     if errors:
@@ -408,8 +413,31 @@ _CRITERIA = [
 ]
 
 
+# the criteria whose separately seeded estimates go through _each: lane 1
+_POOLED = (2, 3, 6)
+
+
 def run_all(numbers=None) -> list[CriterionResult]:
-    """Run the battery (optionally a subset), timing each criterion.
+    """Run the battery (optionally a subset), timing each criterion, and
+    return the results in criterion order.
+
+    The selected criteria run in two lanes side by side (``_each``), each in
+    criterion order. Lane 0 holds every criterion but 2, 3 and 6 and runs on
+    the calling thread; lane 1 holds criteria 2, 3 and 6, whose own estimates
+    pool on ``_each`` as well. Lane 0 stays on the calling thread because of
+    memory, not time: what sets the peak is the heap glibc keeps after the
+    bench and criterion 11, and in the calling thread that is the main malloc
+    arena. On a 2-core host, with lane 0 there, the ``gate`` benchmark peaked
+    at 131.2-131.8 MiB against 128.9-129.2 MiB for the one-lane loop; with
+    the lanes swapped, so that the Langevin and light criteria ran on the
+    other thread, it peaked at 131.8-132.5 MiB. A criterion's ``seconds`` is
+    its wall time while it shares the cores with the other lane, so the
+    ``seconds`` of a run can add up to more than its wall time. On one core
+    the lanes run one after the other and no thread starts.
+
+    Each lane stops at its first criterion that raises. Once both lanes are
+    done, the exception of the lowest-numbered criterion that raised is
+    raised: the one the one-lane loop would raise.
 
     Criteria 9 and 10 share the stationary-oscillator bench, streamed once
     (``_stream_bench``) just before the first of them that runs, outside
@@ -417,19 +445,32 @@ def run_all(numbers=None) -> list[CriterionResult]:
     criterion 9's 15 MB KDE sample, is dropped after the last. Criterion 8
     stores its first and last state only, criterion 11 every 4th step.
     """
-    selected = set(numbers or range(1, 13))
-    users = sorted({9, 10} & selected)
-    bench = None
-    results = []
-    for number, func in enumerate(_CRITERIA, start=1):
-        if number not in selected:
-            continue
-        if users and number == users[0]:
-            bench = _stream_bench()
-        start = time.perf_counter()
-        res = func(bench) if number in users else func()
-        res.seconds = time.perf_counter() - start
-        results.append(res)
-        if users and number == users[-1]:
-            bench = None
-    return results
+    selected = sorted(set(numbers or range(1, 13)))
+    users = [number for number in selected if number in (9, 10)]
+    lanes = [
+        [number for number in selected if number not in _POOLED],
+        [number for number in selected if number in _POOLED],
+    ]
+
+    def run(lane):
+        bench, results = None, []
+        for number in lane:
+            func = _CRITERIA[number - 1]
+            try:
+                if users and number == users[0]:
+                    bench = _stream_bench()
+                start = time.perf_counter()
+                res = func(bench) if number in users else func()
+            except BaseException as exc:  # raised by run_all once both lanes are done
+                return results, (number, exc)
+            res.seconds = time.perf_counter() - start
+            results.append(res)
+            if users and number == users[-1]:
+                bench = None
+        return results, None
+
+    outcomes = _each(run, [lane for lane in lanes if lane])
+    failures = [failure for _, failure in outcomes if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return sorted((res for results, _ in outcomes for res in results), key=lambda res: res.number)

@@ -32,7 +32,9 @@ def test_shared_ensemble_lives_only_through_criteria_9_and_10(monkeypatch, numbe
     # the seed-7878 bench shared by criteria 9 and 10 is streamed, never
     # integrated into a stored ensemble, once before the first of them; what
     # it leaves is dropped after the last. The spy streams a shorter run of it.
-    streams, samples = [], []
+    # Lane 0, every criterion but 2, 3 and 6, runs in criterion order on the
+    # calling thread; at 2 cores lane 1, criteria 2, 3 and 6, runs off it.
+    streams, samples, threads = [], [], {}
 
     def stream(config, underdamped):
         assert config.seed == 7878 and not underdamped
@@ -44,12 +46,13 @@ def test_shared_ensemble_lives_only_through_criteria_9_and_10(monkeypatch, numbe
 
     def stub(number):
         def criterion(*bench):
-            if number < 9:
+            threads[number] = threading.current_thread()
+            if number in (1, 4, 5, 7, 8):
                 assert not streams
             elif number in (9, 10):
                 (_, sample, _), = bench
                 samples.append(weakref.ref(sample))
-            else:
+            elif number in (11, 12):
                 assert all(ref() is None for ref in samples)
             return acceptance._result(number, "stub", True, "")
 
@@ -58,10 +61,58 @@ def test_shared_ensemble_lives_only_through_criteria_9_and_10(monkeypatch, numbe
     monkeypatch.setattr(acceptance, "stored_states", stream)
     monkeypatch.setattr(acceptance, "integrate_overdamped", integrate)
     monkeypatch.setattr(acceptance, "_CRITERIA", [stub(n) for n in range(1, 13)])
-    results = acceptance.run_all(numbers)
-    assert [r.number for r in results] == sorted(numbers or range(1, 13))
-    assert len(streams) == builds
-    assert all(ref() is None for ref in samples)
+    caller = threading.current_thread()
+    for cores in (1, 2):
+        streams.clear()
+        samples.clear()
+        threads.clear()
+        monkeypatch.setattr(acceptance, "_cores", lambda: cores)
+        results = acceptance.run_all(numbers)
+        assert [r.number for r in results] == sorted(numbers or range(1, 13))
+        assert sorted(threads) == sorted(numbers or range(1, 13))
+        assert len(streams) == builds
+        assert all(ref() is None for ref in samples)
+        for number, thread in threads.items():
+            assert (thread is caller) == (cores == 1 or number not in (2, 3, 6)), (cores, number)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize(
+    "raising,ran",
+    [((3, 9), {1, 2, 3, 4, 5, 7, 8, 9}), ((1, 6), {1, 2, 3, 6})],
+    ids=["3-and-9", "1-and-6"],
+)
+def test_run_all_raises_the_lowest_numbered_failure_after_both_lanes(monkeypatch, capsys, cores, raising, ran):
+    # each lane stops at its first failure; at 2 cores the higher-numbered
+    # criterion fails first, in the other lane, and the lower one's failure,
+    # the one the one-lane loop raised, is raised all the same
+    lower, higher = raising
+    higher_failed = threading.Event()
+    seen = []
+
+    def stub(number):
+        def criterion(*bench):
+            seen.append(number)
+            if number == lower and cores == 2:
+                assert higher_failed.wait(timeout=30)
+            if number == higher:
+                higher_failed.set()
+            if number in raising:
+                raise NumericalError(f"criterion {number}")
+            return acceptance._result(number, "stub", True, "")
+
+        return criterion
+
+    monkeypatch.setattr(acceptance, "_cores", lambda: cores)
+    monkeypatch.setattr(acceptance, "_stream_bench", lambda: None)
+    monkeypatch.setattr(acceptance, "_CRITERIA", [stub(n) for n in range(1, 13)])
+    baseline = threading.active_count()
+    with pytest.raises(NumericalError, match=f"^criterion {lower}$"):
+        acceptance.run_all()
+    assert higher_failed.is_set()
+    assert sorted(seen) == sorted(ran)
+    assert threading.active_count() == baseline
+    assert capsys.readouterr() == ("", "")
 
 
 def test_criterion_9_sample_is_every_other_lattice_position(monkeypatch):
@@ -160,6 +211,27 @@ def test_each_is_bit_for_bit_the_serial_loop(monkeypatch, cores):
     got = acceptance._each(estimate, _pair_cases(np.random.default_rng(303)))
     assert got == serial and [e.seed for e in got] == [1, 2, 3, 4]
     assert len(threads) == cores
+
+
+def test_each_runs_item_0_on_the_calling_thread(monkeypatch):
+    # each started thread runs to its end before the caller goes on, so item
+    # 0 is left to the calling thread only if it took it before any started
+    class Eager(threading.Thread):
+        def start(self):
+            super().start()
+            self.join(timeout=30)
+            assert not self.is_alive()
+
+    def task(i):
+        ran[i] = threading.current_thread()
+        return i
+
+    ran = {}
+    monkeypatch.setattr(acceptance, "_cores", lambda: 2)
+    monkeypatch.setattr(threading, "Thread", Eager)
+    assert acceptance._each(task, range(3)) == [0, 1, 2]
+    assert ran[0] is threading.current_thread()
+    assert ran[1] is ran[2] is not ran[0]
 
 
 def test_each_keeps_item_order_when_a_later_item_finishes_first(monkeypatch):

@@ -411,6 +411,19 @@ class TestAcceptanceCommand:
         results = json.loads((out / "acceptance.json").read_text())
         assert [(r["number"], r["passed"]) for r in results] == [(5, True), (7, False)]
 
+    def test_failed_lane_1_criterion_exits_3_with_records_in_order(self, tmp_path, monkeypatch):
+        # criterion 2 runs in the other lane from criteria 1 and 5 and, made
+        # to fail at once, is done first wherever the lanes overlap
+        criteria = list(acceptance._CRITERIA)
+        criteria[1] = lambda: acceptance._result(2, "stub", False, "made to fail")
+        monkeypatch.setattr(acceptance, "_CRITERIA", criteria)
+        config = {"command": "acceptance", "params": {"criteria": [5, 2, 1]}}
+        out = tmp_path / "gate"
+        rc, lines = run_main(["--config", write_config(tmp_path, config), "--out", str(out)])
+        assert assert_one_error_line(rc, lines, 3) == "one or more acceptance criteria failed"
+        results = json.loads((out / "acceptance.json").read_text())
+        assert [(r["number"], r["passed"]) for r in results] == [(1, True), (2, False), (5, True)]
+
 
 def run_main(argv):
     """cli.main(argv); returns (exit code, stderr lines)."""
